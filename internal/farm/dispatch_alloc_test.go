@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"symbiosched/internal/eventsim"
+	"symbiosched/internal/metrics"
+	"symbiosched/internal/online"
 	"symbiosched/internal/sched"
 	"symbiosched/internal/stats"
+	"symbiosched/internal/workload"
 )
 
 // dispatchServers builds n FCFS servers over the SMT table at mixed
@@ -54,6 +57,65 @@ func TestDispatcherPickZeroAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(200, func() { d.Pick(j, servers, len(servers), rng) }); got != 0 {
 			t.Errorf("%s: Pick allocates %.1f times per arrival, want 0", d.Name(), got)
 		}
+	}
+}
+
+// TestLearnedPickZeroAllocs extends the pin to learned rates: li over
+// servers that decide over pairwise learners. Before every Pick each
+// learner observes an interval containing the job's type, which moves
+// its epoch, so every probe misses the marginal cache and re-solves.
+func TestLearnedPickZeroAllocs(t *testing.T) {
+	tab := smtTable(t)
+	servers := dispatchServers(t, 16)
+	j := &sched.Job{ID: 10_000, Type: 2, Size: 5, Remaining: 5}
+	var cos []workload.Coschedule
+	var progress [][]float64
+	for _, c := range workload.Multisets(len(tab.Suite()), tab.K()) {
+		if c.Count(j.Type) == 0 {
+			continue
+		}
+		pr := make([]float64, len(c))
+		for i, typ := range c {
+			pr[i] = tab.JobWIPC(c, typ) * 0.25
+		}
+		cos, progress = append(cos, c), append(progress, pr)
+	}
+	col := metrics.New()
+	met := online.NewMetrics(col)
+	learners := make([]*online.Pairwise, len(servers))
+	probed := 0
+	for i, sv := range servers {
+		p := online.NewPairwise(tab.K(), len(tab.Suite()), online.PairwiseConfig{})
+		for ci, c := range cos {
+			p.ObserveInterval(c, 0.25, progress[ci])
+		}
+		p.SetMetrics(met)
+		sv.SetRates(p)
+		learners[i] = p
+		if sv.JobsInSystem() < sv.K() {
+			probed++
+		}
+	}
+	d := &LeastInterference{}
+	rng := stats.NewRNG(11)
+	d.Pick(j, servers, len(servers), rng) // warm dispatcher and learner scratch
+	solves := col.Counter("online_solves")
+	before := solves.Value()
+	const runs = 200
+	round := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		ci := round % len(cos)
+		for _, p := range learners {
+			p.ObserveInterval(cos[ci], 0.25, progress[ci])
+		}
+		d.Pick(j, servers, len(servers), rng)
+		round++
+	})
+	if allocs != 0 {
+		t.Errorf("li over pairwise: observe+Pick allocates %.1f times per arrival, want 0", allocs)
+	}
+	if got, want := solves.Value()-before, uint64(runs*probed); got < want {
+		t.Errorf("%d re-solves over %d picks probing %d servers; want at least %d", got, runs, probed, want)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // the k stream heads play a single-elimination tournament once, and each
 // emitted completion replays only the winner's path, O(log k) per
 // completion instead of the linear scan's O(k). The emission order is
-// index-identical to mergeScanReference, which is kept verbatim below as
-// the oracle FuzzLoserTreeMerge replays against.
+// index-identical to that scan, which merge_test.go keeps verbatim as
+// mergeScanReference, the oracle FuzzLoserTreeMerge replays against.
 //
 // All state lives in reusable arrays sized to the shard count, so a
 // merge allocates nothing once the scratch has warmed up.
@@ -114,35 +114,4 @@ func (m *slabMerger) next() (c eventsim.Completion, ok bool) {
 	}
 	m.tree[0] = s
 	return c, true
-}
-
-// mergeScanReference is the pre-loser-tree merge, kept verbatim as the
-// reference implementation: a linear scan over every stream head per
-// emitted completion, O(k) per completion. FuzzLoserTreeMerge pins the
-// tree's emission order index-identical to this scan; the engine itself
-// no longer calls it.
-func mergeScanReference(lists [][]eventsim.Completion, gbase []int, pos []int, emit func(eventsim.Completion)) {
-	for i := range lists {
-		pos[i] = 0
-	}
-	for {
-		best := -1
-		var bestT float64
-		bestG := 0
-		for i := range lists {
-			if pos[i] >= len(lists[i]) {
-				continue
-			}
-			c := lists[i][pos[i]]
-			g := gbase[i] + c.Server
-			if best < 0 || c.T < bestT || (c.T == bestT && g < bestG) {
-				best, bestT, bestG = i, c.T, g
-			}
-		}
-		if best < 0 {
-			return
-		}
-		emit(lists[best][pos[best]])
-		pos[best]++
-	}
 }

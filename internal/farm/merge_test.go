@@ -7,6 +7,36 @@ import (
 	"symbiosched/internal/eventsim"
 )
 
+// mergeScanReference is the pre-loser-tree merge, kept verbatim as the
+// reference implementation: a linear scan over every stream head per
+// emitted completion, O(k) per completion. FuzzLoserTreeMerge pins the
+// tree's emission order index-identical to this scan.
+func mergeScanReference(lists [][]eventsim.Completion, gbase []int, pos []int, emit func(eventsim.Completion)) {
+	for i := range lists {
+		pos[i] = 0
+	}
+	for {
+		best := -1
+		var bestT float64
+		bestG := 0
+		for i := range lists {
+			if pos[i] >= len(lists[i]) {
+				continue
+			}
+			c := lists[i][pos[i]]
+			g := gbase[i] + c.Server
+			if best < 0 || c.T < bestT || (c.T == bestT && g < bestG) {
+				best, bestT, bestG = i, c.T, g
+			}
+		}
+		if best < 0 {
+			return
+		}
+		emit(lists[best][pos[best]])
+		pos[best]++
+	}
+}
+
 // mergeCase builds k completion streams with tie-heavy timestamps: times
 // are drawn from a coarse 1/8 grid so cross-shard ties are the norm, and
 // each stream is generated directly in (T, local server) order the way a

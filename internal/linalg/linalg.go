@@ -60,15 +60,41 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 // Solve solves the square system A x = b by Gaussian elimination with
 // partial pivoting. A and b are not modified.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Solve requires a square matrix, got %dx%d", a.Rows, a.Cols)
+	if err := checkSquare(a, b); err != nil {
+		return nil, err
 	}
-	if len(b) != a.Rows {
-		return nil, fmt.Errorf("linalg: Solve rhs length %d != %d", len(b), a.Rows)
-	}
-	n := a.Rows
 	m := a.Clone()
 	x := append([]float64(nil), b...)
+	if err := SolveInPlace(m, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// checkSquare returns an error unless m is square, its Data holds
+// Rows*Cols elements and x has Rows elements.
+func checkSquare(m *Matrix, x []float64) error {
+	if m == nil {
+		return errors.New("linalg: Solve of a nil matrix")
+	}
+	if m.Rows != m.Cols || m.Rows < 0 || len(m.Data) != m.Rows*m.Cols {
+		return fmt.Errorf("linalg: Solve requires a square matrix, got %dx%d with %d elements", m.Rows, m.Cols, len(m.Data))
+	}
+	if len(x) != m.Rows {
+		return fmt.Errorf("linalg: Solve rhs length %d != %d", len(x), m.Rows)
+	}
+	return nil
+}
+
+// SolveInPlace is Solve without allocation: on entry x holds the
+// right-hand side b, on success it holds the solution of m x = b. The
+// elimination overwrites m; on error m and x hold partial results.
+// Malformed shapes return an error rather than panic.
+func SolveInPlace(m *Matrix, x []float64) error {
+	if err := checkSquare(m, x); err != nil {
+		return err
+	}
+	n := m.Rows
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		piv, best := col, math.Abs(m.At(col, col))
@@ -78,7 +104,7 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 			}
 		}
 		if best < 1e-13 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if piv != col {
 			for j := 0; j < n; j++ {
@@ -106,7 +132,7 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		}
 		x[i] = s / m.At(i, i)
 	}
-	return x, nil
+	return nil
 }
 
 // LeastSquares solves min_x ||A x - b||_2 for a full-column-rank A with

@@ -101,6 +101,115 @@ func TestSolveRoundTripProperty(t *testing.T) {
 	}
 }
 
+// randomSystem draws an n x n system. Half the draws are diagonally
+// dominant; the rest have small or zero diagonals, so partial pivoting
+// swaps rows.
+func randomSystem(r *stats.RNG, n int) (*Matrix, []float64) {
+	a := NewMatrix(n, n)
+	dominant := r.Intn(2) == 0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, r.Float64()*2-1)
+		}
+		switch {
+		case dominant:
+			a.Set(i, i, a.At(i, i)+float64(n))
+		case r.Intn(3) == 0:
+			a.Set(i, i, 0)
+		default:
+			a.Set(i, i, a.At(i, i)*1e-3)
+		}
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = r.Float64()*10 - 5
+	}
+	return a, b
+}
+
+// TestSolveInPlaceMatchesSolve: the in-place kernel, run on a reused
+// scratch matrix, returns Solve's solution bit for bit, and both report
+// a singular system the same way.
+func TestSolveInPlaceMatchesSolve(t *testing.T) {
+	r := stats.NewRNG(7)
+	scratch := &Matrix{}
+	var x []float64
+	singular := 0
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(12)
+		a, b := randomSystem(r, n)
+		if trial%50 == 0 && n > 1 {
+			copy(a.Data[n:2*n], a.Data[:n]) // rank-deficient: two equal rows
+		}
+		want, wantErr := Solve(a, b)
+		scratch.Rows, scratch.Cols = n, n
+		scratch.Data = append(scratch.Data[:0], a.Data...)
+		x = append(x[:0], b...)
+		if err := SolveInPlace(scratch, x); err != wantErr {
+			t.Fatalf("trial %d: SolveInPlace err %v, Solve err %v", trial, err, wantErr)
+		}
+		if wantErr != nil {
+			singular++
+			continue
+		}
+		for i := range want {
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (n=%d): x[%d] = %v, Solve gives %v", trial, n, i, x[i], want[i])
+			}
+		}
+	}
+	if singular == 0 {
+		t.Error("no singular system drawn; the error path went unchecked")
+	}
+}
+
+// TestSolveLeavesInputsUnmodified pins Solve's documented contract: A and
+// b come back bit-identical, pivoting cases included.
+func TestSolveLeavesInputsUnmodified(t *testing.T) {
+	r := stats.NewRNG(11)
+	for trial := 0; trial < 200; trial++ {
+		a, b := randomSystem(r, 1+r.Intn(12))
+		a0, b0 := a.Clone(), append([]float64(nil), b...)
+		if _, err := Solve(a, b); err != nil {
+			continue
+		}
+		for i := range a.Data {
+			if math.Float64bits(a.Data[i]) != math.Float64bits(a0.Data[i]) {
+				t.Fatalf("trial %d: Solve modified A[%d]", trial, i)
+			}
+		}
+		for i := range b {
+			if math.Float64bits(b[i]) != math.Float64bits(b0[i]) {
+				t.Fatalf("trial %d: Solve modified b[%d]", trial, i)
+			}
+		}
+	}
+}
+
+// TestSolveShapeErrors: malformed systems are errors, never panics.
+func TestSolveShapeErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		m    *Matrix
+		x    []float64
+	}{
+		{"nil matrix", nil, nil},
+		{"non-square", NewMatrix(2, 3), make([]float64, 2)},
+		{"rhs too short", NewMatrix(3, 3), make([]float64, 2)},
+		{"rhs too long", NewMatrix(2, 2), make([]float64, 3)},
+		{"short data", &Matrix{Rows: 3, Cols: 3, Data: make([]float64, 8)}, make([]float64, 3)},
+		{"negative shape", &Matrix{Rows: -1, Cols: -1}, nil},
+	}
+	for _, c := range cases {
+		if err := SolveInPlace(c.m, c.x); err == nil {
+			t.Errorf("SolveInPlace(%s) succeeded", c.name)
+		}
+		if _, err := Solve(c.m, c.x); err == nil {
+			t.Errorf("Solve(%s) succeeded", c.name)
+		}
+	}
+}
+
 func TestLeastSquaresExact(t *testing.T) {
 	// Square consistent system: residual must be ~0 and match Solve.
 	a := NewMatrix(2, 2)

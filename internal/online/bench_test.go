@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"symbiosched/internal/online"
+	"symbiosched/internal/program"
 	"symbiosched/internal/workload"
 )
 
@@ -37,6 +38,23 @@ func BenchmarkOnlineEstimator(b *testing.B) {
 			_ = sink
 		})
 	}
+	// A learner sized to the whole suite but fed only a four-type mix,
+	// as on a farm: the re-solve eliminates the mix's block, not the
+	// suite's n x n system. The runs above use the four-type suite, where
+	// the block is the whole system.
+	b.Run("pairwise/suite-mix", func(b *testing.B) {
+		cos, progress := suiteMix(tb, 0.25)
+		est := online.NewPairwise(tb.K(), len(program.Suite()), online.PairwiseConfig{})
+		var sink float64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ci := i % len(cos)
+			est.ObserveInterval(cos[ci], 0.25, progress[ci])
+			sink += est.InstTP(cos[(i*7+3)%len(cos)])
+		}
+		_ = sink
+	})
 	b.Run("sampler/query-only", func(b *testing.B) {
 		est, _ := online.New("sampler", tb, 1)
 		for i, c := range coschedules {

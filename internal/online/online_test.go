@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"symbiosched/internal/metrics"
 	"symbiosched/internal/online"
 	"symbiosched/internal/perfdb"
 	"symbiosched/internal/program"
@@ -17,16 +18,41 @@ var (
 	tab     *perfdb.Table
 )
 
+// miniSuite holds the suite indices of the mini table's four benchmarks,
+// ascending.
+var miniSuite = []int{1, 5, 6, 7}
+
 // table builds (once) a 4-benchmark SMT table — an interference-rich
 // frozen oracle for the estimators to learn.
 func table(t testing.TB) *perfdb.Table {
 	t.Helper()
 	tabOnce.Do(func() {
 		suite := program.Suite()
-		mini := []program.Profile{suite[1], suite[5], suite[6], suite[7]}
+		mini := make([]program.Profile, len(miniSuite))
+		for i, g := range miniSuite {
+			mini[i] = suite[g]
+		}
 		tab = perfdb.Build(perfdb.SMTModel{Machine: uarch.DefaultSMT()}, mini)
 	})
 	return tab
+}
+
+// suiteMix returns every coschedule of the mini table renamed to its
+// suite indices, with the per-slot progress each makes over dt: what a
+// learner sized to the whole suite sees on a machine that only ever runs
+// the four-type mix.
+func suiteMix(tb *perfdb.Table, dt float64) ([]workload.Coschedule, [][]float64) {
+	local := allCoschedules(tb)
+	global := make([]workload.Coschedule, len(local))
+	progress := make([][]float64, len(local))
+	for i, c := range local {
+		global[i] = c.Remap(miniSuite) // ascending, so slot order is kept
+		progress[i] = make([]float64, len(c))
+		for j, typ := range c {
+			progress[i][j] = tb.JobWIPC(c, typ) * dt
+		}
+	}
+	return global, progress
 }
 
 // allCoschedules enumerates every coschedule of size 1..K over the mini
@@ -215,6 +241,41 @@ func TestPairwiseGeneralisesToUnseenMultisets(t *testing.T) {
 	if got >= prior {
 		t.Errorf("pairs-only pairwise error %.4f no better than prior %.4f on unseen sizes", got, prior)
 	}
+}
+
+// TestPairwiseZeroAllocs pins the learner's hot path at zero heap
+// allocations: an observation, then an InstTP query of the observed
+// coschedule, which re-solves every type the observation touched. The
+// learner is sized to the whole suite and fed a four-type mix, as on a
+// farm.
+func TestPairwiseZeroAllocs(t *testing.T) {
+	tb := table(t)
+	cos, progress := suiteMix(tb, 0.25)
+	p := online.NewPairwise(tb.K(), len(program.Suite()), online.PairwiseConfig{})
+	col := metrics.New()
+	p.SetMetrics(online.NewMetrics(col))
+	for i, c := range cos { // warm up: every block at full size
+		p.ObserveInterval(c, 0.25, progress[i])
+		p.InstTP(c)
+	}
+	solves := col.Counter("online_solves")
+	before := solves.Value()
+	const runs = 200
+	i := 0
+	var sink float64
+	allocs := testing.AllocsPerRun(runs, func() {
+		c := cos[i%len(cos)]
+		p.ObserveInterval(c, 0.25, progress[i%len(cos)])
+		sink += p.InstTP(c)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("ObserveInterval+InstTP allocates %.1f times per call, want 0", allocs)
+	}
+	if got := solves.Value() - before; got < runs {
+		t.Errorf("%d re-solves over %d observe+query rounds; every round must re-solve", got, runs)
+	}
+	_ = sink
 }
 
 // TestEstimatorsDeterministicPerSeed: two estimators fed the same

@@ -1,6 +1,8 @@
 package online
 
 import (
+	"slices"
+
 	"symbiosched/internal/linalg"
 	"symbiosched/internal/workload"
 )
@@ -37,7 +39,8 @@ func (c PairwiseConfig) withDefaults() PairwiseConfig {
 // Every observed interval contributes one dt-weighted sample per distinct
 // type in the coschedule; the per-type normal equations are accumulated
 // incrementally (an n-by-n Gram matrix per type, n the suite size) and
-// re-solved lazily with ridge regularisation. Laziness is per type: an
+// re-solved lazily with ridge regularisation, over only the block of
+// types that co-ran with the solved type. Laziness is per type: an
 // observation only marks the types it touched dirty, and a query
 // re-solves just the queried type, once, however many observations
 // arrived since its last solve — so the ridge cost scales with queries
@@ -51,9 +54,13 @@ type Pairwise struct {
 
 	gram []*linalg.Matrix // per type: X' W X, n x n
 	rhs  [][]float64      // per type: X' W (y - 1)
-	beta [][]float64      // per type: solved coefficients (nil until seen)
-	seen []bool
-	obsT []float64 // per type: total observed time (sample weight mass)
+	// block, per type: the co-runner types whose Gram rows and rhs
+	// entries were ever updated, ascending. Every other row and column
+	// of gram and every other rhs entry is exactly zero.
+	block [][]int
+	beta  [][]float64 // per type: solved coefficients (nil until seen)
+	seen  []bool
+	obsT  []float64 // per type: total observed time (sample weight mass)
 
 	dirty     []bool // per type: observations newer than beta
 	nobs      int
@@ -63,9 +70,17 @@ type Pairwise struct {
 	// default — keeps the observe and solve paths uninstrumented.
 	met *Metrics
 
-	// ObserveInterval scratch, reused across intervals.
+	// ObserveInterval scratch, reused across intervals: the interval's
+	// distinct types, their slot counts, summed progress and features.
 	typesBuf []int
+	cntBuf   []int
+	workBuf  []float64
 	xsBuf    []float64
+
+	// solve scratch: the ridge system over one type's block, grown to
+	// the largest block solved so far.
+	sys  linalg.Matrix
+	sysX []float64
 }
 
 // NewPairwise returns a pairwise estimator for a k-context machine over a
@@ -77,6 +92,7 @@ func NewPairwise(k, n int, cfg PairwiseConfig) *Pairwise {
 		cfg:   cfg.withDefaults(),
 		gram:  make([]*linalg.Matrix, n),
 		rhs:   make([][]float64, n),
+		block: make([][]int, n),
 		beta:  make([][]float64, n),
 		seen:  make([]bool, n),
 		obsT:  make([]float64, n),
@@ -120,36 +136,30 @@ func (p *Pairwise) ObserveInterval(cos workload.Coschedule, dt float64, progress
 	if dt <= 0 || len(cos) == 0 {
 		return
 	}
-	// Interval-invariant feature scratch, built once per interval: the
-	// distinct types of the (canonical, sorted) coschedule and their slot
-	// counts. The observe path runs at every simulated interval and must
-	// not allocate.
-	p.typesBuf = p.typesBuf[:0]
+	// Interval-invariant scratch, built in one pass over the canonical
+	// (sorted) coschedule: each distinct type, its slot count and its
+	// progress summed in slot order. The observe path runs at every
+	// simulated interval and must not allocate.
+	p.typesBuf, p.cntBuf, p.workBuf = p.typesBuf[:0], p.cntBuf[:0], p.workBuf[:0]
 	for j, t := range cos {
 		if j == 0 || t != cos[j-1] {
 			p.typesBuf = append(p.typesBuf, t)
+			p.cntBuf = append(p.cntBuf, 0)
+			p.workBuf = append(p.workBuf, 0)
 		}
+		last := len(p.typesBuf) - 1
+		p.cntBuf[last]++
+		p.workBuf[last] += progress[j]
 	}
 	types := p.typesBuf
 	if cap(p.xsBuf) < len(types) {
 		p.xsBuf = make([]float64, len(types))
 	}
 	xs := p.xsBuf[:len(types)]
-	for i := 0; i < len(cos); i++ {
-		b := cos[i]
-		if i > 0 && b == cos[i-1] {
-			continue // same-type slots are symmetric: one sample per type
-		}
+	// One sample per distinct type: same-type slots are symmetric.
+	for bi, b := range types {
 		// Measured WIPC of one type-b job, averaged over its slots.
-		var work float64
-		cnt := 0
-		for j, typ := range cos {
-			if typ == b {
-				work += progress[j]
-				cnt++
-			}
-		}
-		y := work / (float64(cnt) * dt)
+		y := p.workBuf[bi] / (float64(p.cntBuf[bi]) * dt)
 		if p.gram[b] == nil {
 			p.gram[b] = linalg.NewMatrix(p.n, p.n)
 			p.rhs[b] = make([]float64, p.n)
@@ -157,9 +167,9 @@ func (p *Pairwise) ObserveInterval(cos workload.Coschedule, dt float64, progress
 		// Feature vector: co-runner counts (x[t] = count_t minus one for
 		// b itself). Only the coschedule's types are non-zero, so the
 		// rank-1 Gram update touches at most k*k entries.
-		for ti, t := range types {
-			x := float64(cos.Count(t))
-			if t == b {
+		for ti := range types {
+			x := float64(p.cntBuf[ti])
+			if ti == bi {
 				x--
 			}
 			xs[ti] = x
@@ -168,6 +178,9 @@ func (p *Pairwise) ObserveInterval(cos workload.Coschedule, dt float64, progress
 		for ti, t := range types {
 			if xs[ti] == 0 {
 				continue
+			}
+			if i, found := slices.BinarySearch(p.block[b], t); !found {
+				p.block[b] = slices.Insert(p.block[b], i, t)
 			}
 			r[t] += dt * (y - 1) * xs[ti]
 			for tj, u := range types {
@@ -192,6 +205,14 @@ func (p *Pairwise) ObserveInterval(cos workload.Coschedule, dt float64, progress
 // prior. Solving per queried type is what makes the laziness genuine: a
 // burst of observations costs one re-solve per type at its next query,
 // not one per observation.
+//
+// Only b's block enters the elimination. In the full n x n system every
+// type outside the block has a zero row and column apart from the ridge
+// on its diagonal, and a zero right-hand side: it never wins a pivot,
+// takes no fill-in and solves to exactly +0. Eliminating the block alone
+// therefore performs the full solve's arithmetic on the block, in the
+// same order, and leaves the other coefficients at their +0 — the full
+// solve's result bit for bit, without allocating.
 func (p *Pairwise) solve(b int) {
 	if !p.dirty[b] || !p.seen[b] {
 		return
@@ -200,18 +221,35 @@ func (p *Pairwise) solve(b int) {
 	if p.met != nil {
 		p.met.Solves.Inc()
 	}
-	a := p.gram[b].Clone()
+	block := p.block[b]
+	m := len(block)
+	if cap(p.sysX) < m {
+		p.sys.Data = make([]float64, m*m)
+		p.sysX = make([]float64, m)
+	}
+	a, x := &p.sys, p.sysX[:m]
+	a.Rows, a.Cols, a.Data = m, m, a.Data[:m*m]
+	g, r := p.gram[b], p.rhs[b]
 	// Scale the ridge with the accumulated weight so regularisation
 	// stays a prior, not a cap, as evidence grows.
 	lambda := p.cfg.Ridge * (1 + p.obsT[b])
-	for i := 0; i < p.n; i++ {
-		a.Set(i, i, a.At(i, i)+lambda)
+	for i, t := range block {
+		row := a.Data[i*m : (i+1)*m]
+		for j, u := range block {
+			row[j] = g.At(t, u)
+		}
+		row[i] += lambda
+		x[i] = r[t]
 	}
-	x, err := linalg.Solve(a, p.rhs[b])
-	if err != nil {
+	if err := linalg.SolveInPlace(a, x); err != nil {
 		return // keep the previous fit; ridge makes this unreachable
 	}
-	p.beta[b] = x
+	if p.beta[b] == nil {
+		p.beta[b] = make([]float64, p.n)
+	}
+	for i, t := range block {
+		p.beta[b][t] = x[i]
+	}
 }
 
 // Coef returns the fitted interference coefficient of co-runner type t on
