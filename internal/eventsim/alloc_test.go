@@ -3,6 +3,7 @@ package eventsim
 import (
 	"testing"
 
+	"symbiosched/internal/online"
 	"symbiosched/internal/sched"
 )
 
@@ -48,5 +49,30 @@ func TestServerRescheduleZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Server.Reschedule allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestServerMarginalZeroAllocs pins the dispatch probe on both of its
+// paths: the table's marginal row and the learned source's two probes
+// through per-server scratch.
+func TestServerMarginalZeroAllocs(t *testing.T) {
+	tb := table(t)
+	for _, rs := range []online.RateSource{tb, trainedPairwise(tb)} {
+		sv := NewServer(tb, &sched.FCFS{})
+		sv.SetRates(rs)
+		sv.Add(&sched.Job{ID: 0, Type: 1, Size: 10, Remaining: 10})
+		sv.Add(&sched.Job{ID: 1, Type: 3, Size: 10, Remaining: 10})
+		if err := sv.Reschedule(); err != nil {
+			t.Fatal(err)
+		}
+		sv.MarginalInstTP(0) // grow the candidate scratch and warm the learner
+		allocs := testing.AllocsPerRun(200, func() {
+			for b := range tb.Suite() {
+				sv.MarginalInstTP(b)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: MarginalInstTP allocates %v times per sweep, want 0", rs.Name(), allocs)
+		}
 	}
 }

@@ -2,36 +2,45 @@ package eventsim
 
 import "math"
 
-// TimeHeap is an indexed binary min-heap over per-server event times. The
+// TimeHeap is an indexed 4-ary min-heap over per-server event times. The
 // serial farm event loop keys it by cached time-to-next-completion deltas;
-// the sharded Group keys it by absolute next-completion times. It holds
-// only busy servers (finite keys), Update is an O(1) no-op for servers
-// whose key did not move (idle ones between events), and sifts are
-// near-O(1) in the common case where every busy key shrinks by the same
-// dt, preserving relative order. Ties order by server index, keeping the
-// heap's internal layout — and therefore every event loop built on it —
-// deterministic.
+// the sharded Group keys it by absolute next-completion times, the shard
+// frontier by shard next-event times and the fault injector by next
+// fault times. It holds only busy servers (finite keys), Update is an
+// O(1) no-op for servers whose key did not move (idle ones between
+// events), and sifts are near-O(1) in the common case where every busy
+// key shrinks by the same dt, preserving relative order.
 //
-// Min returns exactly the minimum of the stored float64 keys, so replacing
-// a scan over every server's next-completion time with a heap peek leaves
-// every simulated event time bit-identical.
+// Ties order by server index, so (key, index) is a total order and the
+// minimum it defines is unique: Min, MinIndex and the pop sequence are a
+// function of the stored keys alone, whatever the heap's arity or
+// internal layout. Min returns exactly the minimum of the stored float64
+// keys, so replacing a scan over every server's next-completion time with
+// a heap peek leaves every simulated event time bit-identical.
 type TimeHeap struct {
-	keys []float64 // key per server index (+Inf when absent)
-	pos  []int     // heap position per server index, -1 when absent
-	heap []int     // server indices, heap-ordered by (key, index)
+	// nodes is a 4-ary heap ordered by (key, index): the children of slot
+	// p are 4p+1..4p+4. Each node carries its key inline, so a sift
+	// compares keys without a detour through a server-indexed array, and
+	// a node's four children share one or two cache lines.
+	nodes []heapNode
+	pos   []int32 // heap slot per server index, -1 when absent
+}
+
+// heapNode is one busy server in the heap.
+type heapNode struct {
+	key float64
+	idx int32
+}
+
+// less is the heap's total order: by key, then by server index.
+func (a heapNode) less(b heapNode) bool {
+	return a.key < b.key || a.key == b.key && a.idx < b.idx
 }
 
 // NewTimeHeap returns an empty heap over n server indices.
 func NewTimeHeap(n int) *TimeHeap {
-	h := &TimeHeap{
-		keys: make([]float64, n),
-		pos:  make([]int, n),
-		heap: make([]int, 0, n),
-	}
-	for i := range h.pos {
-		h.keys[i] = math.Inf(1)
-		h.pos[i] = -1
-	}
+	h := &TimeHeap{}
+	h.Reset(n)
 	return h
 }
 
@@ -39,133 +48,130 @@ func NewTimeHeap(n int) *TimeHeap {
 // the backing arrays — the scratch-reuse hook for callers that rebuild a
 // heap per run (the sharded farm's per-shard event dirty-set).
 func (h *TimeHeap) Reset(n int) {
-	if cap(h.keys) < n {
-		h.keys = make([]float64, n)
-		h.pos = make([]int, n)
+	if n > math.MaxInt32 {
+		panic("eventsim: TimeHeap over more than MaxInt32 servers")
 	}
-	h.keys = h.keys[:n]
+	if cap(h.pos) < n {
+		h.pos = make([]int32, n)
+		h.nodes = make([]heapNode, 0, n)
+	}
 	h.pos = h.pos[:n]
-	h.heap = h.heap[:0]
-	for i := 0; i < n; i++ {
-		h.keys[i] = math.Inf(1)
+	h.nodes = h.nodes[:0]
+	for i := range h.pos {
 		h.pos[i] = -1
 	}
 }
 
 // Len returns the number of servers currently in the heap (finite keys).
-func (h *TimeHeap) Len() int { return len(h.heap) }
+func (h *TimeHeap) Len() int { return len(h.nodes) }
 
 // Min returns the smallest stored key, or +Inf when no server is busy.
 func (h *TimeHeap) Min() float64 {
-	if len(h.heap) == 0 {
+	if len(h.nodes) == 0 {
 		return math.Inf(1)
 	}
-	return h.keys[h.heap[0]]
+	return h.nodes[0].key
 }
 
 // MinIndex returns the server index holding the smallest key (lowest
 // index on ties), or -1 when the heap is empty.
 func (h *TimeHeap) MinIndex() int {
-	if len(h.heap) == 0 {
+	if len(h.nodes) == 0 {
 		return -1
 	}
-	return h.heap[0]
+	return int(h.nodes[0].idx)
 }
 
 // Key returns server i's stored key (+Inf when absent).
-func (h *TimeHeap) Key(i int) float64 { return h.keys[i] }
+func (h *TimeHeap) Key(i int) float64 {
+	if p := h.pos[i]; p >= 0 {
+		return h.nodes[p].key
+	}
+	return math.Inf(1)
+}
 
 // Update sets server i's key, inserting, removing (key +Inf) or
 // repositioning it as needed. It is a cheap no-op when the key is
 // unchanged (idle servers between events).
 func (h *TimeHeap) Update(i int, key float64) {
-	if key == h.keys[i] {
-		return
-	}
+	p := int(h.pos[i])
 	inf := math.IsInf(key, 1)
 	switch {
-	case h.pos[i] == -1 && inf:
+	case p < 0 && inf:
 		return // stays absent
-	case h.pos[i] == -1:
-		h.keys[i] = key
-		h.pos[i] = len(h.heap)
-		h.heap = append(h.heap, i)
-		h.up(h.pos[i])
+	case p < 0:
+		h.nodes = append(h.nodes, heapNode{key: key, idx: int32(i)})
+		h.up(len(h.nodes) - 1)
+	case key == h.nodes[p].key:
+		return
 	case inf:
-		h.remove(i)
+		h.remove(p)
+	case key < h.nodes[p].key:
+		h.nodes[p].key = key
+		h.up(p)
 	default:
-		up := key < h.keys[i]
-		h.keys[i] = key
-		if up {
-			h.up(h.pos[i])
-		} else {
-			h.down(h.pos[i])
-		}
+		h.nodes[p].key = key
+		h.down(p)
 	}
 }
 
-func (h *TimeHeap) remove(i int) {
-	p, last := h.pos[i], len(h.heap)-1
-	h.keys[i] = math.Inf(1)
-	h.pos[i] = -1
-	if p != last {
-		moved := h.heap[last]
-		h.heap[p] = moved
-		h.pos[moved] = p
+// remove deletes the node at slot p, refilling the hole with the last
+// node.
+func (h *TimeHeap) remove(p int) {
+	h.pos[h.nodes[p].idx] = -1
+	last := len(h.nodes) - 1
+	moved := h.nodes[last]
+	h.nodes = h.nodes[:last]
+	if p == last {
+		return
 	}
-	h.heap = h.heap[:last]
-	if p != last {
-		if !h.up(p) {
-			h.down(p)
-		}
+	h.nodes[p] = moved
+	if h.up(p) == p {
+		h.down(p)
 	}
 }
 
-// less orders heap slots by (key, server index).
-func (h *TimeHeap) less(a, b int) bool {
-	ia, ib := h.heap[a], h.heap[b]
-	if h.keys[ia] != h.keys[ib] {
-		return h.keys[ia] < h.keys[ib]
-	}
-	return ia < ib
+// set stores node x at slot p and records its position.
+func (h *TimeHeap) set(p int, x heapNode) {
+	h.nodes[p] = x
+	h.pos[x.idx] = int32(p)
 }
 
-func (h *TimeHeap) swap(a, b int) {
-	h.heap[a], h.heap[b] = h.heap[b], h.heap[a]
-	h.pos[h.heap[a]] = a
-	h.pos[h.heap[b]] = b
-}
-
-// up sifts slot p toward the root, reporting whether it moved.
-func (h *TimeHeap) up(p int) bool {
-	moved := false
+// up sifts the node at slot p toward the root and returns its final
+// slot.
+func (h *TimeHeap) up(p int) int {
+	x := h.nodes[p]
 	for p > 0 {
-		parent := (p - 1) / 2
-		if !h.less(p, parent) {
+		parent := (p - 1) / 4
+		if !x.less(h.nodes[parent]) {
 			break
 		}
-		h.swap(p, parent)
+		h.set(p, h.nodes[parent])
 		p = parent
-		moved = true
 	}
-	return moved
+	h.set(p, x)
+	return p
 }
 
-// down sifts slot p toward the leaves.
+// down sifts the node at slot p toward the leaves.
 func (h *TimeHeap) down(p int) {
+	x, n := h.nodes[p], len(h.nodes)
 	for {
-		l, r := 2*p+1, 2*p+2
-		smallest := p
-		if l < len(h.heap) && h.less(l, smallest) {
-			smallest = l
+		c := 4*p + 1
+		if c >= n {
+			break
 		}
-		if r < len(h.heap) && h.less(r, smallest) {
-			smallest = r
+		m := c
+		for j := c + 1; j < min(c+4, n); j++ {
+			if h.nodes[j].less(h.nodes[m]) {
+				m = j
+			}
 		}
-		if smallest == p {
-			return
+		if !h.nodes[m].less(x) {
+			break
 		}
-		h.swap(p, smallest)
-		p = smallest
+		h.set(p, h.nodes[m])
+		p = m
 	}
+	h.set(p, x)
 }

@@ -2,16 +2,45 @@ package eventsim
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"symbiosched/internal/stats"
 )
 
+// checkHeapLayout verifies the 4-ary heap's structure against the keys
+// the caller stored: every node sits at the slot its position records,
+// no child orders before its parent under (key, index), and exactly the
+// finite keys are present.
+func checkHeapLayout(t *testing.T, h *TimeHeap, keys []float64) {
+	t.Helper()
+	for p, x := range h.nodes {
+		if int(h.pos[x.idx]) != p {
+			t.Fatalf("pos/heap mismatch at slot %d", p)
+		}
+		for c := 4*p + 1; c <= 4*p+4 && c < len(h.nodes); c++ {
+			if h.nodes[c].less(x) {
+				t.Fatalf("heap order violated at slot %d (child slot %d)", p, c)
+			}
+		}
+	}
+	for i, k := range keys {
+		if math.IsInf(k, 1) != (h.pos[i] == -1) {
+			t.Fatalf("server %d: key %v but pos %d", i, k, h.pos[i])
+		}
+		if got := h.Key(i); got != k {
+			t.Fatalf("server %d: Key %v, want %v", i, got, k)
+		}
+	}
+}
+
 // TestTimeHeapMatchesScan fuzzes the indexed heap against the reference
 // min-scan it replaced: after every update — inserts, moves up and down,
-// removals to +Inf, repeated no-ops — the heap's minimum must equal the
-// scan's minimum over the same keys, bit for bit, and the index/position
-// bookkeeping must stay consistent.
+// removals to +Inf, repeated no-ops, and keys drawn from a few integers
+// so that ties are common — the heap's minimum must equal the scan's
+// minimum over the same keys, bit for bit, and its index must be the
+// scan's lowest index holding that minimum (the shard groups and the
+// fault injector rely on the tie-break).
 func TestTimeHeapMatchesScan(t *testing.T) {
 	const n = 37
 	rng := stats.NewRNG(5)
@@ -32,7 +61,7 @@ func TestTimeHeapMatchesScan(t *testing.T) {
 	for step := 0; step < 20_000; step++ {
 		i := rng.Intn(n)
 		var k float64
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
 		case 0:
 			k = math.Inf(1) // remove (or keep absent)
 		case 1:
@@ -42,34 +71,64 @@ func TestTimeHeapMatchesScan(t *testing.T) {
 			if math.IsInf(k, 1) {
 				k = 10 * rng.Float64()
 			}
+		case 3:
+			k = float64(rng.Intn(4)) // tie with other servers
 		default:
 			k = 20 * rng.Float64()
 		}
 		keys[i] = k
 		h.Update(i, k)
-		if got, want := h.Min(), func() float64 { m, _ := scanMin(); return m }(); got != want {
+		want, wi := scanMin()
+		if got := h.Min(); got != want {
 			t.Fatalf("step %d: heap min %v, scan min %v", step, got, want)
 		}
-		if _, wi := scanMin(); wi >= 0 && h.MinIndex() != wi && h.Key(h.MinIndex()) != keys[wi] {
+		if got := h.MinIndex(); got != wi {
 			t.Fatalf("step %d: heap min index %d (key %v), scan min index %d (key %v)",
-				step, h.MinIndex(), h.Key(h.MinIndex()), wi, keys[wi])
+				step, got, h.Key(max(got, 0)), wi, want)
 		}
 	}
-	// Structural invariants at the end of the walk.
-	for p := range h.heap {
-		if h.pos[h.heap[p]] != p {
-			t.Fatalf("pos/heap mismatch at slot %d", p)
-		}
-		if l := 2*p + 1; l < len(h.heap) && h.less(l, p) {
-			t.Fatalf("heap order violated at slot %d (left child)", p)
-		}
-		if r := 2*p + 2; r < len(h.heap) && h.less(r, p) {
-			t.Fatalf("heap order violated at slot %d (right child)", p)
+	checkHeapLayout(t, h, keys)
+}
+
+// TestTimeHeapPopOrder drains a heap full of equal keys and checks the
+// pop sequence against a reference sorted by (key, server index): the
+// order depends on the keys alone, never on the heap's layout.
+func TestTimeHeapPopOrder(t *testing.T) {
+	const n = 300
+	rng := stats.NewRNG(9)
+	h := NewTimeHeap(n)
+	keys := make([]float64, n)
+	var want []int
+	for i := range keys {
+		keys[i] = math.Inf(1)
+		if rng.Intn(8) > 0 {
+			keys[i] = float64(rng.Intn(5))
+			want = append(want, i)
 		}
 	}
-	for i, k := range keys {
-		if math.IsInf(k, 1) != (h.pos[i] == -1) {
-			t.Fatalf("server %d: key %v but pos %d", i, k, h.pos[i])
+	// Insert in a scrambled order, then move some keys up and back down
+	// so that the layout is not the insertion order.
+	for _, i := range rng.Perm(n) {
+		h.Update(i, keys[i])
+	}
+	for _, i := range want[:len(want)/3] {
+		h.Update(i, -1)
+		h.Update(i, keys[i])
+	}
+	checkHeapLayout(t, h, keys)
+	sort.SliceStable(want, func(a, b int) bool { return keys[want[a]] < keys[want[b]] })
+	for step, wi := range want {
+		if h.Len() != len(want)-step {
+			t.Fatalf("pop %d: Len %d, want %d", step, h.Len(), len(want)-step)
 		}
+		i := h.MinIndex()
+		if i != wi || h.Min() != keys[wi] {
+			t.Fatalf("pop %d: got server %d (key %v), want server %d (key %v)", step, i, h.Min(), wi, keys[wi])
+		}
+		h.Update(i, math.Inf(1))
+		keys[i] = math.Inf(1)
+	}
+	if h.Len() != 0 || h.MinIndex() != -1 || !math.IsInf(h.Min(), 1) {
+		t.Fatalf("drained heap: Len %d, MinIndex %d, Min %v", h.Len(), h.MinIndex(), h.Min())
 	}
 }

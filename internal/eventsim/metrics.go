@@ -20,8 +20,12 @@ type ServerMetrics struct {
 	// Occupancy is the time-weighted distribution of co-schedule sizes
 	// (how much wall time the server spent running 0, 1, 2, ... jobs).
 	Occupancy *metrics.Histogram
-	// MargHit / MargMiss count MarginalInstTP probes served from the
-	// per-(coschedule, epoch) cache vs recomputed against the source.
+	// MargHit counts MarginalInstTP probes answered from the table's
+	// precomputed marginal row (the decision rates are the server's own
+	// table, directly or through online.Oracle); MargMiss counts probes
+	// of any other, learned, source. The split is fixed by the source, so
+	// perfbench's eventsim.marg_hit_ratio reads 1 on megafarm (oracle
+	// rates) and 0 on learnfarm (pairwise learners).
 	MargHit, MargMiss *metrics.Counter
 	// Reschedules and Advances count the stepping primitives.
 	Reschedules, Advances *metrics.Counter

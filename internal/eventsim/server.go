@@ -40,58 +40,48 @@ import (
 // utilisation survives multiplexing.
 //
 // The stepping path is allocation-free at steady state: the canonical
-// coschedule, the per-slot rates (resolved once per reschedule through a
-// single uint64-keyed table probe), the completion buffer and the
-// time-to-next-completion are all held in per-server scratch. Reschedule
-// computes the rates and the time to the next completion; Advance folds
-// the refresh of that time into its progress loop — dividing the same
-// decremented remaining work by the same cached rate, in the same job
-// order, that a fresh scan would use, so the cached value is bit-identical
-// to recomputation.
+// coschedule, the table entry it resolves to (one uint64-keyed probe per
+// reschedule), the completion buffer and the time-to-next-completion are
+// all held in per-server scratch, and the running jobs' rates are read
+// from the entry, which every server running that coschedule shares.
+// Reschedule resolves the entry and the time to the next completion;
+// Advance folds the refresh of that time into its progress loop —
+// dividing the same decremented remaining work by the same rate, in the
+// same job order, that a fresh scan would use, so the cached value is
+// bit-identical to recomputation.
 type Server struct {
-	table    *perfdb.Table
-	rates    online.RateSource
-	sched    sched.Scheduler
-	schedObs sched.Observer // sched, when it observes time; else nil
-	obs      online.IntervalObserver
+	// Hot fields first: a dispatch probe of a random server and a
+	// stepping call read these, and sharing one or two cache lines keeps
+	// a large farm's per-job misses down.
+	failed     bool
+	tableRates bool                // rates is table itself or online.Oracle over it
+	jobs       []*sched.Job        // queue in arrival (ID) order
+	entry      *perfdb.Entry       // table entry of canon; nil when idle or stale
+	table      *perfdb.Table       // ground-truth rates
+	met        *ServerMetrics      // nil: uninstrumented
+	running    []int               // indices into jobs, valid after Reschedule
+	ttc        float64             // cached time to next completion (+Inf when idle/stale)
+	canon      workload.Coschedule // canonical coschedule scratch of the running jobs
 
-	jobs     []*sched.Job
-	running  []int               // indices into jobs, valid after Reschedule
-	canon    workload.Coschedule // canonical coschedule scratch of the running jobs
-	canonKey uint64              // perfdb.Key(canon)
-	runRate  []float64           // true WIPC of jobs[running[i]] in canon
-	canonRt  []float64           // true WIPC per canon slot, for the observer
-	ttc      float64             // cached time to next completion (+Inf when idle/stale)
-	done     []*sched.Job        // completion scratch returned by Advance
-	prog     []float64           // scratch per-slot progress for the observer
-
-	// Marginal-InstTP dispatch cache: marg[b] is the decision-rate gain of
-	// adding one type-b job next to the running coschedule, valid while
-	// (margKey, margEp) still matches (canonKey, rates epoch). margSet
-	// distinguishes "never filled" from the idle key 0.
-	marg     []float64
-	margOK   []bool
-	margCand workload.Coschedule
-	margKey  uint64
-	margEp   uint64
-	margSet  bool
-
+	// Warm: the rest of what Add, Reschedule and Advance touch.
+	sched             sched.Scheduler
+	schedObs          sched.Observer // sched, when it observes time; else nil
+	obs               online.IntervalObserver
 	busy, empty, work numeric.KahanSum
-	down              numeric.KahanSum // time spent failed (neither busy nor empty)
-	failed            bool
 	dispatched        int
+	done              []*sched.Job // completion scratch returned by Advance
 
-	// met, when non-nil, receives the stepping instruments (busy/queue
-	// integrals, occupancy distribution, marginal-cache hit rates). Nil —
-	// the default — keeps the hot path uninstrumented.
-	met *ServerMetrics
+	rates    online.RateSource
+	prog     []float64           // scratch per-slot progress for the observer
+	margCand workload.Coschedule // candidate scratch for learned-rate probes
+	down     numeric.KahanSum    // time spent failed (neither busy nor empty)
 }
 
 // NewServer returns an empty server over the given table and scheduler.
 // The scheduler must not be shared with another server (MAXTP and the
 // online estimators carry per-run state).
 func NewServer(t *perfdb.Table, s sched.Scheduler) *Server {
-	sv := &Server{table: t, rates: t, sched: s, ttc: math.Inf(1)}
+	sv := &Server{table: t, rates: t, tableRates: true, sched: s, ttc: math.Inf(1)}
 	if o, ok := s.(sched.Observer); ok {
 		sv.schedObs = o
 	}
@@ -111,7 +101,17 @@ func (sv *Server) Rates() online.RateSource { return sv.rates }
 
 // SetRates replaces the decision-rate source exposed by Rates. It does
 // not change the physics: jobs still progress at the table's true rates.
-func (sv *Server) SetRates(rs online.RateSource) { sv.rates = rs }
+func (sv *Server) SetRates(rs online.RateSource) {
+	sv.rates = rs
+	switch r := rs.(type) {
+	case *perfdb.Table:
+		sv.tableRates = r == sv.table
+	case online.Oracle:
+		sv.tableRates = r.Table == sv.table
+	default:
+		sv.tableRates = false
+	}
+}
 
 // SetObserver installs the measurement hook fed by Advance. The observer
 // must not retain the progress slice it is handed.
@@ -138,35 +138,27 @@ func (sv *Server) Running() workload.Coschedule { return sv.canon }
 // type b here: Rates().InstTP of the running coschedule plus the job,
 // minus Rates().InstTP of the running coschedule alone (for an idle
 // server, just the job's solo score). It is the score symbiosis-aware
-// dispatchers (farm's li and pd families) maximise, computed exactly as
-// their old inline probes did — same canonical multisets, same
-// subtraction — but cached per (running-coschedule key, rate epoch):
-// the gain depends only on those two and b, so between events that touch
-// neither, repeated arrivals hit the cache instead of re-probing the
-// source. The scratch is per-server and lazily sized to the suite, so
-// steady-state probes are allocation-free.
+// dispatchers (farm's li and pd families) maximise. When the decision
+// rates are the server's own table, directly or through online.Oracle,
+// the table's precomputed marginal row answers — the same two stored
+// values and the same subtraction, so the same bits. Any other source is
+// probed twice through per-server scratch. Either way a probe is
+// allocation-free. A full server has no marginal row and must not be
+// probed.
 func (sv *Server) MarginalInstTP(b int) float64 {
-	ep := sv.rates.Epoch()
-	if !sv.margSet || sv.margKey != sv.canonKey || sv.margEp != ep {
-		if sv.marg == nil {
-			n := len(sv.table.Suite())
-			sv.marg = make([]float64, n)
-			sv.margOK = make([]bool, n)
-		}
-		clear(sv.margOK)
-		sv.margKey, sv.margEp, sv.margSet = sv.canonKey, ep, true
-	}
-	if sv.margOK[b] {
+	if sv.tableRates {
 		if sv.met != nil {
 			sv.met.MargHit.Inc()
 		}
-		return sv.marg[b]
+		if sv.entry == nil {
+			return sv.table.IdleMarginal()[b]
+		}
+		return sv.entry.Marginal()[b]
 	}
 	if sv.met != nil {
 		sv.met.MargMiss.Inc()
 	}
-	// canon is sorted; inserting b keeps it canonical — the same multiset
-	// the dispatchers' old per-arrival NewCoschedule built.
+	// canon is sorted; inserting b keeps it canonical.
 	sv.margCand = append(sv.margCand[:0], sv.canon...)
 	sv.margCand = append(sv.margCand, b)
 	for i := len(sv.margCand) - 1; i > 0 && sv.margCand[i-1] > b; i-- {
@@ -176,7 +168,6 @@ func (sv *Server) MarginalInstTP(b int) float64 {
 	if len(sv.canon) > 0 {
 		gain -= sv.rates.InstTP(sv.canon)
 	}
-	sv.marg[b], sv.margOK[b] = gain, true
 	return gain
 }
 
@@ -197,8 +188,7 @@ func (sv *Server) Reschedule() error {
 		sv.met.Reschedules.Inc()
 	}
 	if len(sv.jobs) == 0 {
-		sv.running, sv.canon = nil, sv.canon[:0]
-		sv.canonKey, sv.ttc = 0, math.Inf(1)
+		sv.clearRunning()
 		return nil
 	}
 	running := sv.sched.Select(sv.jobs, sv.table.K())
@@ -212,20 +202,13 @@ func (sv *Server) Reschedule() error {
 		sv.canon = append(sv.canon, sv.jobs[ji].Type)
 	}
 	slices.Sort(sv.canon)
-	sv.canonKey = perfdb.Key(sv.canon)
 	// One keyed probe resolves every rate for the interval.
-	e := sv.table.EntryByKey(sv.canonKey)
-	sv.runRate = sv.runRate[:0]
-	for _, ji := range running {
-		sv.runRate = append(sv.runRate, e.TypeWIPC[sv.jobs[ji].Type])
-	}
-	sv.canonRt = sv.canonRt[:0]
-	for _, typ := range sv.canon {
-		sv.canonRt = append(sv.canonRt, e.TypeWIPC[typ])
-	}
+	sv.entry = sv.table.EntryByKey(perfdb.Key(sv.canon))
+	wipc := sv.entry.TypeWIPCs()
 	dt := math.Inf(1)
-	for i, ji := range running {
-		if d := sv.jobs[ji].Remaining / sv.runRate[i]; d < dt {
+	for _, ji := range running {
+		j := sv.jobs[ji]
+		if d := j.Remaining / wipc[j.Type]; d < dt {
 			dt = d
 		}
 	}
@@ -258,20 +241,22 @@ func (sv *Server) Advance(dt float64) []*sched.Job {
 	}
 	sv.busy.Add(float64(len(sv.running)) * dt)
 	next := math.Inf(1)
-	for i, ji := range sv.running {
+	for _, ji := range sv.running {
 		j := sv.jobs[ji]
-		adv := sv.runRate[i] * dt
+		rate := sv.entry.TypeWIPCs()[j.Type]
+		adv := rate * dt
 		j.Remaining -= adv
 		sv.work.Add(adv)
-		if d := j.Remaining / sv.runRate[i]; d < next {
+		if d := j.Remaining / rate; d < next {
 			next = d
 		}
 	}
 	sv.ttc = next
 	if sv.obs != nil && dt > 0 && len(sv.canon) > 0 {
+		wipc := sv.entry.TypeWIPCs()
 		sv.prog = sv.prog[:0]
-		for i := range sv.canon {
-			sv.prog = append(sv.prog, sv.canonRt[i]*dt)
+		for _, typ := range sv.canon {
+			sv.prog = append(sv.prog, wipc[typ]*dt)
 		}
 		sv.obs.ObserveInterval(sv.canon, dt, sv.prog)
 	}
@@ -293,11 +278,16 @@ func (sv *Server) Advance(dt float64) []*sched.Job {
 			sv.jobs[i] = nil // release completed jobs to the GC
 		}
 		sv.jobs = sv.jobs[:kept]
-		// Stale until the next Reschedule.
-		sv.running, sv.canon = nil, sv.canon[:0]
-		sv.canonKey, sv.ttc = 0, math.Inf(1)
+		sv.clearRunning() // stale until the next Reschedule
 	}
 	return sv.done
+}
+
+// clearRunning forgets the running coschedule: the server is idle, or
+// stale until its next Reschedule.
+func (sv *Server) clearRunning() {
+	sv.running, sv.canon, sv.entry = nil, sv.canon[:0], nil
+	sv.ttc = math.Inf(1)
 }
 
 // Up reports whether the server is in service. A failed server holds no
@@ -318,8 +308,7 @@ func (sv *Server) Fail() []*sched.Job {
 		sv.jobs[i] = nil // release the evicted jobs to the GC
 	}
 	sv.jobs = sv.jobs[:0]
-	sv.running, sv.canon = nil, sv.canon[:0]
-	sv.canonKey, sv.ttc = 0, math.Inf(1)
+	sv.clearRunning()
 	return sv.done
 }
 

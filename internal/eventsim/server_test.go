@@ -2,9 +2,12 @@ package eventsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"symbiosched/internal/metrics"
 	"symbiosched/internal/online"
+	"symbiosched/internal/perfdb"
 	"symbiosched/internal/sched"
 	"symbiosched/internal/workload"
 )
@@ -116,4 +119,114 @@ func TestServerRescheduleRejectsBadScheduler(t *testing.T) {
 	if err := sv.Reschedule(); err == nil {
 		t.Error("empty selection accepted")
 	}
+}
+
+// twoProbe is the direct marginal-InstTP formula: the source's InstTP of
+// the running coschedule plus one type-b job, minus that of the running
+// coschedule (nothing to subtract when it is empty).
+func twoProbe(rs online.RateSource, canon workload.Coschedule, b int) float64 {
+	gain := rs.InstTP(workload.NewCoschedule(append(slices.Clone(canon), b)...))
+	if len(canon) > 0 {
+		gain -= rs.InstTP(canon)
+	}
+	return gain
+}
+
+// trainedPairwise returns a pairwise learner that has observed every
+// multiset of 2..K types of tb at its true rates.
+func trainedPairwise(tb *perfdb.Table) *online.Pairwise {
+	p := online.NewPairwise(tb.K(), len(tb.Suite()), online.PairwiseConfig{})
+	for size := 2; size <= tb.K(); size++ {
+		for _, c := range workload.Multisets(len(tb.Suite()), size) {
+			pr := make([]float64, len(c))
+			for i, typ := range c {
+				pr[i] = tb.JobWIPC(c, typ) * 0.5
+			}
+			p.ObserveInterval(c, 0.5, pr)
+		}
+	}
+	return p
+}
+
+// TestMarginalInstTPMatchesTwoProbe pins the dispatch probe to the
+// direct two-probe formula bit for bit, over the table (answered from
+// its marginal rows), over online.Oracle wrapping it (rows too) and over
+// a pairwise learner (probed), on idle, partly filled, full and stale
+// servers. A full server has no row; over the table both the probe and
+// the formula panic, since the table stores no K+1 coschedule. The
+// instruments count row answers as hits and learned probes as misses.
+func TestMarginalInstTPMatchesTwoProbe(t *testing.T) {
+	tb := table(t)
+	k := tb.K()
+	states := []struct {
+		name  string
+		types []int
+		stale bool
+	}{
+		{"idle", nil, false},
+		{"one", []int{2}, false},
+		{"partly", []int{3, 1}, false},
+		{"k-1", []int{0, 3, 0}, false},
+		{"full", []int{1, 2, 1, 0}, false},
+		{"stale", []int{0, 2}, true},
+	}
+	sources := []struct {
+		name    string
+		rs      online.RateSource
+		fromRow bool
+	}{
+		{"table", tb, true},
+		{"oracle", online.Oracle{Table: tb}, true},
+		{"pairwise", trainedPairwise(tb), false},
+	}
+	for _, src := range sources {
+		for _, st := range states {
+			sv := NewServer(tb, &sched.FCFS{})
+			if src.rs != online.RateSource(tb) {
+				sv.SetRates(src.rs)
+			}
+			met := NewServerMetrics(metrics.New())
+			sv.SetMetrics(met)
+			for i, typ := range st.types {
+				size := 10.0
+				if st.stale && i == 0 {
+					size = 0.1 // completes first, leaving the server stale
+				}
+				sv.Add(&sched.Job{ID: i, Type: typ, Size: size, Remaining: size})
+			}
+			if err := sv.Reschedule(); err != nil {
+				t.Fatal(err)
+			}
+			if st.stale {
+				if done := sv.Advance(sv.TimeToNextCompletion()); len(done) != 1 || sv.JobsInSystem() != 1 {
+					t.Fatalf("stale setup: %d done, %d left", len(done), sv.JobsInSystem())
+				}
+			}
+			canon := slices.Clone(sv.Running())
+			for b := range tb.Suite() {
+				if len(canon) == k && src.fromRow {
+					if !panics(func() { sv.MarginalInstTP(b) }) || !panics(func() { twoProbe(src.rs, canon, b) }) {
+						t.Errorf("%s/%s: probing a full server over the table must panic", src.name, st.name)
+					}
+					continue
+				}
+				got, want := sv.MarginalInstTP(b), twoProbe(src.rs, canon, b)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s/%s: MarginalInstTP(%d) = %v, two-probe formula %v", src.name, st.name, b, got, want)
+				}
+			}
+			hits, misses := met.MargHit.Value(), met.MargMiss.Value()
+			if probes := uint64(len(tb.Suite())); src.fromRow && (hits != probes || misses != 0) ||
+				!src.fromRow && (hits != 0 || misses != probes) {
+				t.Errorf("%s/%s: %d hits, %d misses over %d probes", src.name, st.name, hits, misses, probes)
+			}
+		}
+	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

@@ -101,10 +101,9 @@ func (JoinShortestQueue) Pick(_ *sched.Job, servers []*eventsim.Server, _ int, _
 // Ties go to the lowest index, keeping the policy deterministic.
 //
 // The probe goes through eventsim.Server.MarginalInstTP, which computes
-// exactly the score above and caches it per (running coschedule, rate
-// epoch) in server-owned scratch — so a Pick allocates nothing and, at
-// serving rates of one decision per arrival, unchanged servers answer
-// from cache instead of re-walking the rate source.
+// exactly the score above: over the oracle table it reads the table's
+// precomputed marginal row, over a learned source it probes the source
+// twice. Either way a Pick allocates nothing.
 type LeastInterference struct{}
 
 // Name implements Dispatcher.

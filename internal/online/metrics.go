@@ -11,9 +11,8 @@ type Metrics struct {
 	// as they are dropped before updating the model).
 	Observations *metrics.Counter
 	// EpochBumps counts rate-epoch increments — every one invalidates
-	// downstream decision memos and marginal caches, so the ratio of
-	// bumps to decisions bounds how much memoization can ever help over a
-	// learning source.
+	// downstream decision memos, so the ratio of bumps to decisions
+	// bounds how much memoization can ever help over a learning source.
 	EpochBumps *metrics.Counter
 	// Solves counts actual lazy refits (Pairwise ridge solves); queries
 	// answered by a clean fit don't count.

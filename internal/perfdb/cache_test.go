@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"symbiosched/internal/runner"
 	"symbiosched/internal/uarch"
+	"symbiosched/internal/workload"
 )
 
 // gobBytes serialises a table the same way Save does, for bit-level
@@ -163,4 +167,110 @@ func TestLoadRejectsVersionSkew(t *testing.T) {
 	if _, err := Load(path); err == nil {
 		t.Fatal("Load accepted a future cache version")
 	}
+}
+
+// encodeGob serialises g exactly as Save would.
+func encodeGob(tb testing.TB, g tableGob) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(g); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// corruptTable is a well-formed gob encoding of a semantically corrupt
+// table, with a fragment of the error Load must report for it.
+type corruptTable struct {
+	name string
+	data []byte
+	want string
+}
+
+// corruptTables derives corrupt tables from the mini-suite SMT table.
+// Each mutation replaces slices instead of writing through them, so the
+// shared table stays intact.
+func corruptTables(tb testing.TB) []corruptTable {
+	tb.Helper()
+	valid := testTable(tb).toGob()
+	het := slices.IndexFunc(valid.Entries, func(e entryGob) bool { return e.Cos.Heterogeneity() == 4 })
+	var out []corruptTable
+	add := func(name, want string, f func(g *tableGob, e *entryGob)) {
+		g := valid
+		g.Entries = slices.Clone(valid.Entries)
+		f(&g, &g.Entries[het])
+		out = append(out, corruptTable{name, encodeGob(tb, g), want})
+	}
+	add("type 300", "outside the 4-type suite", func(g *tableGob, _ *entryGob) { g.Entries[0].Cos = workload.Coschedule{300} })
+	add("9-slot coschedule", "has 9 slots", func(g *tableGob, _ *entryGob) { g.Entries[0].Cos = make(workload.Coschedule, 9) })
+	add("K=0, no entries", "K = 0", func(g *tableGob, _ *entryGob) { g.K, g.Entries = 0, nil })
+	add("K=9", "K = 9", func(g *tableGob, _ *entryGob) { g.K = 9 })
+	add("missing size class", "entries, want", func(g *tableGob, _ *entryGob) { g.K = 3 })
+	add("empty suite", "suite of 0", func(g *tableGob, _ *entryGob) { g.Suite, g.Solo, g.Entries = nil, nil, nil })
+	add("short solo", "3 solo IPCs", func(g *tableGob, _ *entryGob) { g.Solo = g.Solo[:3] })
+	add("NaN solo", "solo IPC NaN", func(g *tableGob, _ *entryGob) { g.Solo = []float64{math.NaN(), 1, 1, 1} })
+	add("negative type", "type -1 outside", func(g *tableGob, _ *entryGob) { g.Entries[0].Cos = workload.Coschedule{-1} })
+	add("empty coschedule", "has 0 slots", func(g *tableGob, _ *entryGob) { g.Entries[0].Cos = nil })
+	add("non-canonical", "not canonical", func(_ *tableGob, e *entryGob) { e.Cos = workload.Coschedule{3, 2, 1, 0} })
+	add("short SlotIPC", "3 slot IPCs", func(_ *tableGob, e *entryGob) { e.SlotIPC = e.SlotIPC[:3] })
+	add("types mismatch", "want types", func(_ *tableGob, e *entryGob) { e.Types = e.Types[1:] })
+	add("short WIPCs", "(3 values)", func(_ *tableGob, e *entryGob) { e.WIPCs = e.WIPCs[1:] })
+	add("infinite WIPC", "rate +Inf", func(_ *tableGob, e *entryGob) {
+		e.WIPCs = slices.Clone(e.WIPCs)
+		e.WIPCs[2] = math.Inf(1)
+	})
+	add("zero InstTP", "rate 0", func(_ *tableGob, e *entryGob) { e.InstTP = 0 })
+	add("duplicate entry", "duplicate coschedule", func(g *tableGob, _ *entryGob) { g.Entries[1] = g.Entries[0] })
+	add("missing entry", "entries, want", func(g *tableGob, _ *entryGob) { g.Entries = g.Entries[1:] })
+	add("extra entry", "entries, want", func(g *tableGob, _ *entryGob) { g.Entries = append(g.Entries, g.Entries[0]) })
+	return out
+}
+
+// TestLoadRejectsInvalidTable pins that Load reports a well-formed gob
+// describing a broken table as an error naming the defect instead of
+// panicking, and that LoadOrBuild treats such a file as a miss and
+// rebuilds over it.
+func TestLoadRejectsInvalidTable(t *testing.T) {
+	suite := miniSuite(t)
+	model := SMTModel{Machine: uarch.DefaultSMT()}
+	dir := t.TempDir()
+	path := filepath.Join(dir, CacheKey(model, suite, "fp"))
+	for _, c := range corruptTables(t) {
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Load error %v, want one containing %q", c.name, err, c.want)
+			continue
+		}
+		tab, hit, err := LoadOrBuild(context.Background(), runner.Config{}, model, suite, dir, "fp")
+		if err != nil || hit {
+			t.Errorf("%s: LoadOrBuild = (hit %v, err %v), want a rebuilt miss", c.name, hit, err)
+			continue
+		}
+		if !reflect.DeepEqual(tab.entries, testTable(t).entries) {
+			t.Errorf("%s: rebuilt table differs from a fresh build", c.name)
+		}
+	}
+}
+
+// FuzzTableLoad feeds arbitrary bytes to the cache decoder: it must
+// return an error or a table whose derived rows agree with its entries,
+// never panic.
+func FuzzTableLoad(f *testing.F) {
+	valid := encodeGob(f, testTable(f).toGob())
+	f.Add(valid)
+	for _, n := range []int{0, 1, 16, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	for _, c := range corruptTables(f)[:3] { // type 300, 9 slots, K = 0
+		f.Add(c.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tab, err := read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkRows(t, tab)
+	})
 }

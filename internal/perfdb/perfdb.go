@@ -18,6 +18,7 @@ package perfdb
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"symbiosched/internal/multicore"
 	"symbiosched/internal/program"
@@ -97,20 +98,31 @@ type Entry struct {
 	Cos workload.Coschedule
 	// SlotIPC is the raw IPC per slot, aligned with Cos.
 	SlotIPC []float64
-	// TypeWIPC[b] is the WIPC of one job of global type b in this
-	// coschedule (0 when the type is absent). Jobs of the same type are
-	// symmetric, so one number per type suffices.
-	TypeWIPC map[int]float64
 	// InstTP is the instantaneous throughput it(s): the sum over slots of
 	// WIPC, i.e. sum over types of r_b(s) in the paper's Eq. (1).
 	InstTP float64
 
-	// wipc mirrors TypeWIPC as a dense suite-indexed slice (0 for absent
-	// types), so per-candidate scoring loops read an array element per
-	// type instead of paying a map probe. Maintained by the table
-	// alongside its rate bounds (build, load, clone, override).
+	// wipc[b] is the WIPC of one job of global type b in this coschedule
+	// (0 when the type is absent), indexed by suite position. Jobs of the
+	// same type are symmetric, so one number per type suffices.
 	wipc []float64
+	// marg[b] is InstTP(Cos+b) - InstTP(Cos), the marginal row; nil for
+	// full (K-slot) entries. Derived by the table (build, load, clone,
+	// override).
+	marg []float64
 }
+
+// TypeWIPCs returns the entry's per-type WIPCs as a dense suite-indexed
+// slice (0 for absent types). Callers must not mutate it.
+func (e *Entry) TypeWIPCs() []float64 { return e.wipc }
+
+// Marginal returns the entry's marginal row: element b is the stored
+// InstTP of the coschedule plus one type-b job minus the entry's own
+// InstTP — the same two stored values and the same subtraction a direct
+// two-probe computation performs, so the row is equal to it bit for
+// bit. Full (K-slot) entries have no row (nil). Callers must not mutate
+// it.
+func (e *Entry) Marginal() []float64 { return e.marg }
 
 // Table is the complete performance database for one machine.
 type Table struct {
@@ -129,8 +141,10 @@ type Table struct {
 	// the same slot count, so the exact size class applies, and interference
 	// makes it tighten sharply as coschedules fill up. Derived eagerly
 	// (build, load, clone, override) because tables are shared read-only
-	// across sweep goroutines.
+	// across sweep goroutines, as are the marginal rows.
 	maxWIPCBySize [][]float64
+	// idle[b] is InstTP({b}): the marginal row of the empty coschedule.
+	idle []float64
 }
 
 // Key encodes a canonical coschedule (len <= 8, types < 256) as a uint64.
@@ -218,20 +232,16 @@ func BuildWith(ctx context.Context, rc runner.Config, m Model, suite []program.P
 		}
 	}
 	for i, c := range all {
-		e := &Entry{
-			Cos:      c,
-			SlotIPC:  results[i],
-			TypeWIPC: make(map[int]float64, c.Heterogeneity()),
-		}
+		e := &Entry{Cos: c, SlotIPC: results[i], wipc: make([]float64, len(suite))}
 		for j, typ := range c {
 			w := results[i][j] / t.Solo[typ]
-			e.TypeWIPC[typ] = w // same-type slots are symmetric
+			e.wipc[typ] = w // same-type slots are symmetric; the last one stands
 			e.InstTP += w
-			_ = j
 		}
 		t.entries[Key(c)] = e
 	}
 	t.recomputeMaxWIPC()
+	t.deriveRows()
 	return t, nil
 }
 
@@ -244,12 +254,34 @@ func (t *Table) recomputeMaxWIPC() {
 	}
 	for _, e := range t.entries {
 		m := t.maxWIPCBySize[len(e.Cos)-1]
-		e.wipc = make([]float64, len(t.suite))
-		for b, w := range e.TypeWIPC {
-			e.wipc[b] = w
-			if w > m[b] {
+		for _, b := range e.Cos {
+			if w := e.wipc[b]; w > m[b] {
 				m[b] = w
 			}
+		}
+	}
+}
+
+// deriveRows rebuilds every marginal row from the stored InstTPs: the
+// idle row and, for each entry with fewer than K slots, row[b] =
+// InstTP(Cos+b) - InstTP(Cos). Every multiset of 1..K slots must be
+// stored (Build enumerates them all; Load validates it).
+func (t *Table) deriveRows() {
+	n := len(t.suite)
+	t.idle = make([]float64, n)
+	for b := range t.idle {
+		t.idle[b] = t.entries[KeyAppend(EmptyKey, b)].InstTP
+	}
+	cand := make(workload.Coschedule, 0, t.k)
+	for _, e := range t.entries {
+		if len(e.Cos) == t.k {
+			continue
+		}
+		e.marg = make([]float64, n)
+		for b := range e.marg {
+			at, _ := slices.BinarySearch(e.Cos, b)
+			cand = slices.Insert(append(cand[:0], e.Cos...), at, b)
+			e.marg[b] = t.entries[Key(cand)].InstTP - e.InstTP
 		}
 	}
 }
@@ -287,20 +319,20 @@ func (t *Table) EntryByKey(k uint64) *Entry {
 // JobWIPC returns the WIPC of one job of global type b in coschedule c.
 // It panics if b is not in c.
 func (t *Table) JobWIPC(c workload.Coschedule, b int) float64 {
-	w, ok := t.Entry(c).TypeWIPC[b]
-	if !ok {
+	e := t.Entry(c)
+	if !slices.Contains(e.Cos, b) {
 		panic(fmt.Sprintf("perfdb: type %d not in coschedule %v", b, c))
 	}
-	return w
+	return e.wipc[b]
 }
 
 // JobWIPCByKey is JobWIPC keyed by Key(c).
 func (t *Table) JobWIPCByKey(k uint64, b int) float64 {
-	w, ok := t.EntryByKey(k).TypeWIPC[b]
-	if !ok {
+	e := t.EntryByKey(k)
+	if !slices.Contains(e.Cos, b) {
 		panic(fmt.Sprintf("perfdb: type %d not in coschedule key %#x", b, k))
 	}
-	return w
+	return e.wipc[b]
 }
 
 // InstTPByKey is InstTP keyed by Key(c).
@@ -313,6 +345,11 @@ func (t *Table) InstTPByKey(k uint64) float64 { return t.EntryByKey(k).InstTP }
 // may retain it only while the table's Epoch stands (overrides are
 // build-time edits, so within a run that is forever).
 func (t *Table) TypeWIPCsByKey(k uint64) []float64 { return t.EntryByKey(k).wipc }
+
+// IdleMarginal returns the marginal row of the empty coschedule: element
+// b is InstTP({b}), the gain of starting one type-b job on an idle
+// machine. Callers must not mutate it.
+func (t *Table) IdleMarginal() []float64 { return t.idle }
 
 // Epoch reports the table's rate-revision counter (online.RateSource):
 // the oracle's rates never drift while a simulation runs, so the epoch is
@@ -345,11 +382,11 @@ func (t *Table) JobIPC(c workload.Coschedule, b int) float64 {
 // It returns 0 when the type is absent.
 func (t *Table) TypeRate(c workload.Coschedule, b int) float64 {
 	e := t.Entry(c)
-	w, ok := e.TypeWIPC[b]
-	if !ok {
+	n := c.Count(b)
+	if n == 0 {
 		return 0
 	}
-	return float64(c.Count(b)) * w
+	return float64(n) * e.wipc[b]
 }
 
 // InstTP returns the instantaneous throughput it(s) of coschedule c in
@@ -360,42 +397,27 @@ func (t *Table) InstTP(c workload.Coschedule) float64 { return t.Entry(c).InstTP
 // the entry's derived quantities. It is used by the Section V-D fairness
 // counterfactual, which redistributes rates inside a coschedule without
 // changing its instantaneous throughput. The override applies to this
-// table only.
+// table only; its rate bounds and marginal rows are re-derived to match.
 func (t *Table) Override(c workload.Coschedule, typeWIPC map[int]float64) {
 	e := t.Entry(c)
-	ne := &Entry{
-		Cos:      e.Cos,
-		SlotIPC:  append([]float64(nil), e.SlotIPC...),
-		TypeWIPC: make(map[int]float64, len(typeWIPC)),
-	}
-	for b, w := range typeWIPC {
+	ne := &Entry{Cos: e.Cos, SlotIPC: slices.Clone(e.SlotIPC), wipc: make([]float64, len(t.suite))}
+	for b := range typeWIPC {
 		if c.Count(b) == 0 {
 			panic(fmt.Sprintf("perfdb: override type %d not in coschedule %v", b, c))
 		}
-		ne.TypeWIPC[b] = w
 	}
 	for j, typ := range c {
-		w, ok := ne.TypeWIPC[typ]
+		w, ok := typeWIPC[typ]
 		if !ok {
 			panic(fmt.Sprintf("perfdb: override missing type %d of coschedule %v", typ, c))
 		}
+		ne.wipc[typ] = w
 		ne.SlotIPC[j] = w * t.Solo[typ]
 		ne.InstTP += w
 	}
-	ne.wipc = make([]float64, len(t.suite))
-	for b, w := range ne.TypeWIPC {
-		ne.wipc[b] = w
-	}
 	t.entries[Key(c)] = ne
-	// Raise (never lower) the size class's rate bounds: recomputing the
-	// true maxima would need a full scan, and a looser bound stays
-	// admissible.
-	m := t.maxWIPCBySize[len(c)-1]
-	for b, w := range ne.TypeWIPC {
-		if w > m[b] {
-			m[b] = w
-		}
-	}
+	t.recomputeMaxWIPC()
+	t.deriveRows()
 }
 
 // Clone returns a deep copy of the table; counterfactual experiments
@@ -407,23 +429,20 @@ func (t *Table) Clone() *Table {
 		suite:   t.suite,
 		Solo:    append([]float64(nil), t.Solo...),
 		entries: make(map[uint64]*Entry, len(t.entries)),
+		idle:    slices.Clone(t.idle),
 	}
 	nt.maxWIPCBySize = make([][]float64, len(t.maxWIPCBySize))
 	for s, m := range t.maxWIPCBySize {
 		nt.maxWIPCBySize[s] = append([]float64(nil), m...)
 	}
 	for k, e := range t.entries {
-		ne := &Entry{
-			Cos:      e.Cos,
-			SlotIPC:  append([]float64(nil), e.SlotIPC...),
-			TypeWIPC: make(map[int]float64, len(e.TypeWIPC)),
-			InstTP:   e.InstTP,
-			wipc:     append([]float64(nil), e.wipc...),
+		nt.entries[k] = &Entry{
+			Cos:     e.Cos,
+			SlotIPC: slices.Clone(e.SlotIPC),
+			InstTP:  e.InstTP,
+			wipc:    slices.Clone(e.wipc),
+			marg:    slices.Clone(e.marg),
 		}
-		for b, w := range e.TypeWIPC {
-			ne.TypeWIPC[b] = w
-		}
-		nt.entries[k] = ne
 	}
 	return nt
 }

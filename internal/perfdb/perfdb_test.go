@@ -1,6 +1,10 @@
 package perfdb
 
 import (
+	"math"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,7 +14,7 @@ import (
 )
 
 // miniSuite keeps table-building fast in tests.
-func miniSuite(t *testing.T) []program.Profile {
+func miniSuite(t testing.TB) []program.Profile {
 	t.Helper()
 	suite := program.Suite()
 	return []program.Profile{suite[5], suite[7], suite[6], suite[1]} // hmmer, mcf, libq, calculix
@@ -21,7 +25,7 @@ var (
 	tableSMT  *Table
 )
 
-func testTable(t *testing.T) *Table {
+func testTable(t testing.TB) *Table {
 	t.Helper()
 	tableOnce.Do(func() {
 		tableSMT = Build(SMTModel{Machine: uarch.DefaultSMT()}, miniSuite(t))
@@ -162,5 +166,102 @@ func TestModelAdapters(t *testing.T) {
 	jobs := []*program.Profile{&suite[0], &suite[1]}
 	if got := quad.SlotIPC(jobs); len(got) != 2 {
 		t.Errorf("SlotIPC returned %d rates", len(got))
+	}
+}
+
+// checkRows asserts that every marginal row of tab equals the two-probe
+// formula over the table's public InstTP bit for bit: row[b] ==
+// InstTP(c+b) - InstTP(c) for entries with fewer than K slots, no row for
+// full entries, and idle[b] == InstTP({b}).
+func checkRows(tb testing.TB, tab *Table) {
+	tb.Helper()
+	n := len(tab.Suite())
+	for b, got := range tab.IdleMarginal() {
+		if want := tab.InstTP(workload.NewCoschedule(b)); math.Float64bits(got) != math.Float64bits(want) {
+			tb.Fatalf("idle row[%d] = %v, want InstTP({%d}) = %v", b, got, b, want)
+		}
+	}
+	if len(tab.IdleMarginal()) != n {
+		tb.Fatalf("idle row has %d elements for a %d-type suite", len(tab.IdleMarginal()), n)
+	}
+	for _, e := range tab.entries {
+		row := e.Marginal()
+		if len(e.Cos) == tab.K() {
+			if row != nil {
+				tb.Fatalf("full coschedule %v has a marginal row", e.Cos)
+			}
+			continue
+		}
+		if len(row) != n {
+			tb.Fatalf("coschedule %v: row of %d elements, want %d", e.Cos, len(row), n)
+		}
+		for b, got := range row {
+			cand := workload.NewCoschedule(append(slices.Clone(e.Cos), b)...)
+			want := tab.InstTP(cand) - tab.InstTP(e.Cos)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				tb.Fatalf("row(%v)[%d] = %v, want InstTP(%v) - InstTP(%v) = %v", e.Cos, b, got, cand, e.Cos, want)
+			}
+		}
+	}
+}
+
+// TestMarginalRowsMatchInstTP pins the precomputed marginal rows to the
+// two-probe subtraction they replace, on the SMT, quad-core and uniform
+// tables, after Clone, after an Override (the fairness counterfactual's
+// equalisation, and one that moves InstTP), and after a Save/Load round
+// trip.
+func TestMarginalRowsMatchInstTP(t *testing.T) {
+	suite := miniSuite(t)
+	for _, tc := range []struct {
+		name string
+		tab  *Table
+	}{
+		{"smt", testTable(t)},
+		{"quad", Build(MulticoreModel{Machine: uarch.DefaultMulticore()}, suite)},
+		{"uniform", Build(UniformModel{K: 3}, suite)},
+	} {
+		tab := tc.tab
+		t.Run(tc.name, func(t *testing.T) {
+			checkRows(t, tab)
+			clone := tab.Clone()
+			checkRows(t, clone)
+
+			// Equalise the heterogeneous K-coschedule, as core's fairness
+			// counterfactual does: every type gets the mean WIPC.
+			var full workload.Coschedule
+			for b := range tab.K() {
+				full = append(full, b)
+			}
+			mean := tab.InstTP(full) / float64(len(full))
+			eq := map[int]float64{}
+			for _, b := range full {
+				eq[b] = mean
+			}
+			clone.Override(full, eq)
+			// And one that moves a smaller entry's InstTP, which feeds its
+			// own row, the rows one slot smaller and the idle row.
+			for _, c := range []workload.Coschedule{workload.NewCoschedule(1, 2), workload.NewCoschedule(3)} {
+				scaled := map[int]float64{}
+				for _, b := range c {
+					scaled[b] = 1.1 * clone.JobWIPC(c, b)
+				}
+				clone.Override(c, scaled)
+			}
+			checkRows(t, clone)
+			checkRows(t, tab) // the original is untouched
+
+			path := filepath.Join(t.TempDir(), "t.gob")
+			if err := clone.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRows(t, loaded)
+			if !reflect.DeepEqual(loaded.entries, clone.entries) || !reflect.DeepEqual(loaded.idle, clone.idle) {
+				t.Fatal("loaded rows differ from the saved table's")
+			}
+		})
 	}
 }
