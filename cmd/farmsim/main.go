@@ -153,7 +153,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	var loadList []float64
 	for _, s := range strings.Split(*loads, ",") {
 		l, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || l <= 0 || l >= 1 {
+		if err != nil || !(l > 0 && l < 1) {
 			fmt.Fprintf(stderr, "farmsim: -loads wants fractions in (0,1), got %q\n", s)
 			return 2
 		}

@@ -199,8 +199,10 @@ func TestMetricsCSVDeterministicAcrossParallel(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var out, errb strings.Builder
-	if code := run(context.Background(), []string{"-loads", "1.5"}, &out, &errb); code != 2 {
-		t.Errorf("out-of-range load: run = %d, want 2", code)
+	for _, load := range []string{"1.5", "NaN", "+Inf", "-Inf", "0"} {
+		if code := run(context.Background(), []string{"-loads", load}, &out, &errb); code != 2 {
+			t.Errorf("load %s: run = %d, want 2", load, code)
+		}
 	}
 	if code := run(context.Background(), []string{"-bogus"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag: run = %d, want 2", code)

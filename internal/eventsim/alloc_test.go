@@ -3,6 +3,7 @@ package eventsim
 import (
 	"testing"
 
+	"symbiosched/internal/alloctest"
 	"symbiosched/internal/online"
 	"symbiosched/internal/sched"
 )
@@ -74,5 +75,30 @@ func TestServerMarginalZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: MarginalInstTP allocates %v times per sweep, want 0", rs.Name(), allocs)
 		}
+	}
+}
+
+// TestLatencyLoopAllocs pins the single-server event loop's steady
+// state: jobs are recycled through the stream and the server's scratch is
+// carved at construction, so an additional job costs no allocation. A
+// job object per arrival would read one allocation, and 48 bytes; the
+// stream's 256-job chunks alone would still read 48 bytes, which is what
+// pins the recycling.
+func TestLatencyLoopAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	tb := table(t)
+	allocs, bytes := alloctest.MarginalPerJob(t, func(jobs int) {
+		cfg := LatencyConfig{Lambda: 1, Jobs: jobs, SizeShape: 4, Seed: 3}
+		if _, err := Latency(tb, w4(), &sched.MAXIT{Rates: tb}, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Queues and the free list grow only with the run's peak in flight.
+	const maxAllocs, maxBytes = 0.01, 4
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Fatalf("latency loop allocates %.3f times and %.2f bytes per job, want <= %v and <= %v",
+			allocs, bytes, maxAllocs, maxBytes)
 	}
 }

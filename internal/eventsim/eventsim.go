@@ -14,6 +14,7 @@ package eventsim
 
 import (
 	"fmt"
+	"math"
 
 	"symbiosched/internal/numeric"
 	"symbiosched/internal/online"
@@ -94,13 +95,29 @@ func Latency(t *perfdb.Table, w workload.Workload, s sched.Scheduler, cfg Latenc
 // rates of every simulated interval into it. With obs == nil (or the
 // no-op online.Oracle) it is exactly Latency, bit for bit.
 func LatencyObserved(t *perfdb.Table, w workload.Workload, s sched.Scheduler, obs online.IntervalObserver, cfg LatencyConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Lambda <= 0 {
-		return nil, fmt.Errorf("eventsim: non-positive arrival rate %v", cfg.Lambda)
+	if !(cfg.Lambda > 0) || math.IsInf(cfg.Lambda, 1) {
+		return nil, fmt.Errorf("eventsim: arrival rate %v is not finite and positive", cfg.Lambda)
 	}
+	if err := CheckJobSizes(cfg.JobSize, cfg.SizeShape); err != nil {
+		return nil, fmt.Errorf("eventsim: %w", err)
+	}
+	cfg = cfg.withDefaults()
 	rng := stats.NewRNG(cfg.Seed)
 	gen := func() float64 { return rng.Exp(cfg.Lambda) }
 	return run(t, w, s, obs, cfg, gen, 0)
+}
+
+// CheckJobSizes rejects a job-size distribution a JobStream cannot draw
+// from: a non-finite mean, or a negative shape. Every engine feeding a
+// JobStream checks its config with it.
+func CheckJobSizes(size float64, shape int) error {
+	if math.IsNaN(size) || math.IsInf(size, 0) {
+		return fmt.Errorf("job size %v is not finite", size)
+	}
+	if shape < 0 {
+		return fmt.Errorf("negative job-size shape %d", shape)
+	}
+	return nil
 }
 
 // MaxThroughputConfig parameterises a maximum-throughput experiment
@@ -122,6 +139,9 @@ type MaxThroughputConfig struct {
 // topped up with Pool jobs of uniformly random types so the scheduler
 // always has choices, and the long-run throughput is measured (Figure 6).
 func MaxThroughput(t *perfdb.Table, w workload.Workload, s sched.Scheduler, cfg MaxThroughputConfig) (*Result, error) {
+	if err := CheckJobSizes(cfg.JobSize, 0); err != nil {
+		return nil, fmt.Errorf("eventsim: %w", err)
+	}
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 20_000
 	}
@@ -145,36 +165,80 @@ func MaxThroughput(t *perfdb.Table, w workload.Workload, s sched.Scheduler, cfg 
 	return run(t, w, s, nil, lcfg, nil, cfg.Pool)
 }
 
-// NewJobStream returns a deterministic job factory over workload w: types
-// are drawn uniformly, sizes follow cfg's JobSize/SizeShape, and IDs
+// jobChunk is how many jobs a JobStream allocates at once when its free
+// list is empty. A run's jobs in flight, not its job count, bound the
+// chunks it ever allocates.
+const jobChunk = 256
+
+// JobStream is a deterministic job factory over a workload: types are
+// drawn uniformly, sizes follow the config's JobSize/SizeShape, and IDs
 // increase with creation order. The stream is seeded exactly as the
 // single-server experiments seed theirs, so a farm of one server fed by
 // the same stream reproduces Latency bit for bit.
-func NewJobStream(w workload.Workload, cfg LatencyConfig) func(now float64) *sched.Job {
+//
+// Job storage is recycled. An engine hands a job back with Recycle once
+// nothing will read it again, and Next reuses it, overwriting every
+// field; only when the free list is empty does Next carve a job out of a
+// jobChunk-sized block. Recycling changes no draw and no ID: it only
+// decides which memory the next job occupies.
+type JobStream struct {
+	w      workload.Workload
+	rng    *stats.RNG
+	size   float64 // mean work per job
+	shape  int     // 0 deterministic, 1 exponential, k >= 2 Erlang-k
+	nextID int
+	free   []*sched.Job // recycled jobs, reused LIFO
+	chunk  []sched.Job  // unused tail of the current block
+}
+
+// NewJobStream returns the job stream over workload w for cfg.
+func NewJobStream(w workload.Workload, cfg LatencyConfig) *JobStream {
 	cfg = cfg.withDefaults()
-	rng := stats.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15)
-	nextID := 0
-	return func(now float64) *sched.Job {
-		size := cfg.JobSize
-		if cfg.SizeShape >= 1 {
-			// Erlang-k with mean JobSize (k = 1 is exponential).
-			k := cfg.SizeShape
-			size = 0
-			for i := 0; i < k; i++ {
-				size += rng.Exp(float64(k) / cfg.JobSize)
-			}
-		}
-		j := &sched.Job{
-			ID:      nextID,
-			Type:    w[rng.Intn(len(w))],
-			Size:    size,
-			Arrival: now,
-		}
-		j.Remaining = j.Size
-		nextID++
-		return j
+	return &JobStream{
+		w:     w,
+		rng:   stats.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15),
+		size:  cfg.JobSize,
+		shape: cfg.SizeShape,
 	}
 }
+
+// Next returns the stream's next job, arriving at now.
+func (s *JobStream) Next(now float64) *sched.Job {
+	size := s.size
+	if s.shape >= 1 {
+		// Erlang-k with mean JobSize (k = 1 is exponential).
+		k := s.shape
+		size = 0
+		for i := 0; i < k; i++ {
+			size += s.rng.Exp(float64(k) / s.size)
+		}
+	}
+	var j *sched.Job
+	if n := len(s.free); n > 0 {
+		j = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		if len(s.chunk) == 0 {
+			s.chunk = make([]sched.Job, jobChunk)
+		}
+		j = &s.chunk[0]
+		s.chunk = s.chunk[1:]
+	}
+	*j = sched.Job{
+		ID:        s.nextID,
+		Type:      s.w[s.rng.Intn(len(s.w))],
+		Size:      size,
+		Remaining: size,
+		Arrival:   now,
+	}
+	s.nextID++
+	return j
+}
+
+// Recycle returns j to the stream for reuse by a later Next. The caller
+// must hold the only remaining reference: no queue, scheduler, retry
+// queue or pending completion may read j afterwards.
+func (s *JobStream) Recycle(j *sched.Job) { s.free = append(s.free, j) }
 
 // run is the shared event loop, driving one Server. interarrival == nil
 // selects pooled mode: the system is refilled to pool jobs immediately
@@ -190,14 +254,14 @@ func run(t *perfdb.Table, w workload.Workload, s sched.Scheduler, obs online.Int
 	if obs != nil {
 		sv.SetObserver(obs)
 	}
-	newJob := NewJobStream(w, cfg)
+	jobs := NewJobStream(w, cfg)
 
 	var now float64
 	var nextArrival float64
 	arrivalsLeft := cfg.Jobs
 	if pooled {
 		for sv.JobsInSystem() < pool && arrivalsLeft > 0 {
-			sv.Add(newJob(0))
+			sv.Add(jobs.Next(0))
 			arrivalsLeft--
 		}
 	} else {
@@ -215,7 +279,7 @@ func run(t *perfdb.Table, w workload.Workload, s sched.Scheduler, obs online.Int
 			// Idle until the next arrival.
 			sv.Advance(nextArrival - now)
 			now = nextArrival
-			sv.Add(newJob(now))
+			sv.Add(jobs.Next(now))
 			arrivalsLeft--
 			nextArrival = now + interarrival()
 			continue
@@ -240,10 +304,11 @@ func run(t *perfdb.Table, w workload.Workload, s sched.Scheduler, obs online.Int
 				turnaround.Add(now - j.Arrival)
 				counted++
 			}
+			jobs.Recycle(j)
 		}
 		// Arrivals / pool refill.
 		if arrivalDue {
-			sv.Add(newJob(now))
+			sv.Add(jobs.Next(now))
 			arrivalsLeft--
 			if arrivalsLeft > 0 {
 				nextArrival = now + interarrival()
@@ -251,7 +316,7 @@ func run(t *perfdb.Table, w workload.Workload, s sched.Scheduler, obs online.Int
 		}
 		if pooled {
 			for sv.JobsInSystem() < pool && arrivalsLeft > 0 {
-				sv.Add(newJob(now))
+				sv.Add(jobs.Next(now))
 				arrivalsLeft--
 			}
 		}

@@ -215,3 +215,39 @@ func TestDeterminism(t *testing.T) {
 		t.Error("simulation is not deterministic for a fixed seed")
 	}
 }
+
+// TestJobStreamRecycle pins that recycling only decides which memory a
+// job occupies: a stream that takes every job back — left dirty the way
+// an engine leaves it, with Remaining spent and Retries raised — yields
+// the same (ID, Type, Size, Remaining, Arrival, Retries = 0) sequence as
+// a stream that never recycles. Jobs are returned in batches of varying
+// size, so Next draws both from the free list and from fresh chunks.
+func TestJobStreamRecycle(t *testing.T) {
+	cfg := LatencyConfig{Lambda: 1, SizeShape: 4, Seed: 5}
+	fresh, recycled := NewJobStream(w4(), cfg), NewJobStream(w4(), cfg)
+	var held []*sched.Job
+	for i := 0; i < 3*jobChunk; i++ {
+		now := 0.5 * float64(i)
+		want := *fresh.Next(now)
+		j := recycled.Next(now)
+		if *j != want {
+			t.Fatalf("job %d: recycling stream yields %+v, want %+v", i, *j, want)
+		}
+		j.Remaining, j.Retries = 0, 1+i%4
+		held = append(held, j)
+		if i%5 == 4 {
+			for _, h := range held {
+				recycled.Recycle(h)
+			}
+			last := held[len(held)-1]
+			r := recycled.Next(now)
+			if r != last {
+				t.Fatalf("job %d: Next did not reuse the last recycled job", i)
+			}
+			if want := *fresh.Next(now); *r != want {
+				t.Fatalf("job %d: reused job %+v, want %+v", i, *r, want)
+			}
+			held = append(held[:0], r)
+		}
+	}
+}

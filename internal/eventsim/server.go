@@ -77,15 +77,46 @@ type Server struct {
 	down     numeric.KahanSum    // time spent failed (neither busy nor empty)
 }
 
-// NewServer returns an empty server over the given table and scheduler.
-// The scheduler must not be shared with another server (MAXTP and the
-// online estimators carry per-run state).
+// NewServer returns an empty server over the given table and scheduler:
+// the one-server case of NewServers.
 func NewServer(t *perfdb.Table, s sched.Scheduler) *Server {
-	sv := &Server{table: t, rates: t, tableRates: true, sched: s, ttc: math.Inf(1)}
-	if o, ok := s.(sched.Observer); ok {
-		sv.schedObs = o
+	return &NewServers([]*perfdb.Table{t}, []sched.Scheduler{s})[0]
+}
+
+// NewServers returns len(tables) empty servers as one slab: server i runs
+// scheds[i] over tables[i]. A scheduler must not be shared with another
+// server (MAXTP and the online estimators carry per-run state).
+//
+// The servers' scratch comes out of run-level slabs too: each server's
+// queue gets capacity 2K, its completion and canonical-coschedule scratch
+// capacity K, carved with full slice expressions so that a queue
+// outgrowing its share appends into fresh memory of its own instead of
+// its neighbour's. A fleet of any size thus costs three allocations, and
+// servers that run within their shares never grow them.
+func NewServers(tables []*perfdb.Table, scheds []sched.Scheduler) []Server {
+	contexts := 0
+	for _, t := range tables {
+		contexts += t.K()
 	}
-	return sv
+	fleet := make([]Server, len(tables))
+	jobs := make([]*sched.Job, 3*contexts) // per server: 2K queue, then K completions
+	canon := make(workload.Coschedule, contexts)
+	off := 0
+	for i, t := range tables {
+		k := t.K()
+		q, c := 3*off, 3*off+2*k
+		sv := &fleet[i]
+		sv.table, sv.rates, sv.tableRates = t, t, true
+		sv.sched, sv.ttc = scheds[i], math.Inf(1)
+		sv.jobs = jobs[q:q:c]
+		sv.done = jobs[c : c : c+k]
+		sv.canon = canon[off : off : off+k]
+		if o, ok := scheds[i].(sched.Observer); ok {
+			sv.schedObs = o
+		}
+		off += k
+	}
+	return fleet
 }
 
 // Table returns the server's ground-truth performance table.
@@ -275,7 +306,7 @@ func (sv *Server) Advance(dt float64) []*sched.Job {
 	}
 	if len(sv.done) > 0 {
 		for i := kept; i < len(sv.jobs); i++ {
-			sv.jobs[i] = nil // release completed jobs to the GC
+			sv.jobs[i] = nil // no stale pointer to a job the stream may recycle
 		}
 		sv.jobs = sv.jobs[:kept]
 		sv.clearRunning() // stale until the next Reschedule
@@ -305,7 +336,7 @@ func (sv *Server) Fail() []*sched.Job {
 	sv.failed = true
 	sv.done = append(sv.done[:0], sv.jobs...)
 	for i := range sv.jobs {
-		sv.jobs[i] = nil // release the evicted jobs to the GC
+		sv.jobs[i] = nil // no stale pointer to a job the stream may recycle
 	}
 	sv.jobs = sv.jobs[:0]
 	sv.clearRunning()

@@ -8,6 +8,7 @@ import (
 	"symbiosched/internal/metrics"
 	"symbiosched/internal/online"
 	"symbiosched/internal/perfdb"
+	"symbiosched/internal/program"
 	"symbiosched/internal/sched"
 	"symbiosched/internal/workload"
 )
@@ -229,4 +230,51 @@ func panics(f func()) (did bool) {
 	defer func() { did = recover() != nil }()
 	f()
 	return false
+}
+
+// TestNewServersSlabIsolation pins the fleet slab's carving: servers
+// share their backing arrays, so a queue outgrowing its 2K share, or a
+// crash evicting more than K victims, must move into memory of its own
+// and never write into a neighbour's share.
+func TestNewServersSlabIsolation(t *testing.T) {
+	k1 := perfdb.Build(perfdb.UniformModel{K: 1}, program.Suite()[:1])
+	fleet := NewServers([]*perfdb.Table{k1, k1, k1}, []sched.Scheduler{&sched.FCFS{}, &sched.FCFS{}, &sched.FCFS{}})
+	left, mid, right := &fleet[0], &fleet[1], &fleet[2]
+	job := func(id int) *sched.Job { return &sched.Job{ID: id, Size: 1, Remaining: 1} }
+	ids := func(js []*sched.Job) []int {
+		var out []int
+		for _, j := range js {
+			out = append(out, j.ID)
+		}
+		return out
+	}
+	left.Add(job(0))
+	right.Add(job(1))
+	for id := 2; id < 7; id++ {
+		mid.Add(job(id)) // five jobs against a share of two
+	}
+	for _, sv := range []*Server{left, mid, right} {
+		if err := sv.Reschedule(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ids(left.jobs); !slices.Equal(got, []int{0}) {
+		t.Fatalf("left queue %v after the middle queue grew, want [0]", got)
+	}
+	if got := ids(right.jobs); !slices.Equal(got, []int{1}) {
+		t.Fatalf("right queue %v after the middle queue grew, want [1]", got)
+	}
+	victims := mid.Fail()
+	if got := ids(victims); !slices.Equal(got, []int{2, 3, 4, 5, 6}) {
+		t.Fatalf("Fail evicted %v, want [2 3 4 5 6]", got)
+	}
+	// The neighbours' completions land in their own scratch.
+	for _, sv := range []*Server{left, right} {
+		if done := sv.Advance(sv.TimeToNextCompletion()); len(done) != 1 {
+			t.Fatalf("neighbour completed %d jobs, want 1", len(done))
+		}
+	}
+	if got := ids(victims); !slices.Equal(got, []int{2, 3, 4, 5, 6}) {
+		t.Fatalf("victims %v after the neighbours completed, want [2 3 4 5 6]", got)
+	}
 }

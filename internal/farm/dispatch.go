@@ -24,6 +24,10 @@ import (
 // up == 0 (an all-down farm parks arrivals instead of dispatching).
 // With every server up the policies draw and pick bit-identically to
 // the pre-fault dispatchers.
+//
+// Pick must not keep j, or any job it reaches through a server, to read
+// after it returns: the engines recycle a job's storage for a later
+// arrival once its completion is folded.
 type Dispatcher interface {
 	// Name identifies the policy in reports.
 	Name() string

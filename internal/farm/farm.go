@@ -211,22 +211,29 @@ type Result struct {
 }
 
 // validate checks the (specs, workload, config) triple shared by the
-// serial and sharded entry points. cfg must already carry its defaults.
+// serial and sharded entry points, before defaults fill the zero fields:
+// a non-finite rate, size or SLO is an error, never a default.
 func validate(specs []ServerSpec, w workload.Workload, cfg Config) error {
 	if len(specs) == 0 {
 		return fmt.Errorf("farm: no servers")
 	}
-	if cfg.Lambda <= 0 {
-		return fmt.Errorf("farm: non-positive arrival rate %v", cfg.Lambda)
+	if !(cfg.Lambda > 0) || math.IsInf(cfg.Lambda, 1) {
+		return fmt.Errorf("farm: arrival rate %v is not finite and positive", cfg.Lambda)
+	}
+	if err := eventsim.CheckJobSizes(cfg.JobSize, cfg.SizeShape); err != nil {
+		return fmt.Errorf("farm: %w", err)
+	}
+	if math.IsNaN(cfg.SLO) || math.IsInf(cfg.SLO, 0) {
+		return fmt.Errorf("farm: SLO %v is not finite", cfg.SLO)
 	}
 	if len(cfg.Schedule) > 0 {
 		positive := false
 		for i, ph := range cfg.Schedule {
-			if ph.Duration <= 0 {
-				return fmt.Errorf("farm: schedule phase %d has non-positive duration %v", i, ph.Duration)
+			if !(ph.Duration > 0) || math.IsInf(ph.Duration, 1) {
+				return fmt.Errorf("farm: schedule phase %d has duration %v, want finite and positive", i, ph.Duration)
 			}
-			if ph.Rate < 0 {
-				return fmt.Errorf("farm: schedule phase %d has negative rate %v", i, ph.Rate)
+			if !(ph.Rate >= 0) || math.IsInf(ph.Rate, 1) {
+				return fmt.Errorf("farm: schedule phase %d has rate %v, want finite and non-negative", i, ph.Rate)
 			}
 			if ph.Rate > 0 {
 				positive = true
@@ -249,9 +256,12 @@ func validate(specs []ServerSpec, w workload.Workload, cfg Config) error {
 // estimator wiring and all — and returns them with the farm's total
 // context count. Both Simulate and SimulateSharded build their fleets
 // here, so a server's construction (and its estimator's seed) never
-// depends on the engine driving it.
+// depends on the engine driving it. The fleet is one eventsim.NewServers
+// slab; the returned pointers index into it.
 func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]*eventsim.Server, int, error) {
-	servers := make([]*eventsim.Server, len(specs))
+	tables := make([]*perfdb.Table, len(specs))
+	scheds := make([]sched.Scheduler, len(specs))
+	var ests []online.Estimator // allocated by the first spec that learns
 	totalContexts := 0
 	for i, sp := range specs {
 		if sp.Table == nil || sp.Sched == nil {
@@ -263,26 +273,33 @@ func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]*event
 			}
 		}
 		rs := online.RateSource(sp.Table)
-		var est online.Estimator
 		if sp.Estimator != nil {
-			var err error
 			// cfg.Seed is already replication-specific (ReplicationSeed),
 			// so (replication, server) pairs learn on independent streams.
-			if est, err = sp.Estimator(cfg.Seed + uint64(i+1)*0x9e3779b97f4a7c15); err != nil {
+			est, err := sp.Estimator(cfg.Seed + uint64(i+1)*0x9e3779b97f4a7c15)
+			if err != nil {
 				return nil, 0, fmt.Errorf("farm: server %d estimator: %w", i, err)
 			}
-			rs = est
+			if ests == nil {
+				ests = make([]online.Estimator, len(specs))
+			}
+			ests[i], rs = est, est
 		}
 		s, err := sp.Sched(rs)
 		if err != nil {
 			return nil, 0, fmt.Errorf("farm: server %d scheduler: %w", i, err)
 		}
-		servers[i] = eventsim.NewServer(sp.Table, s)
-		if est != nil {
-			servers[i].SetRates(est)
-			servers[i].SetObserver(est)
-		}
+		tables[i], scheds[i] = sp.Table, s
 		totalContexts += sp.Table.K()
+	}
+	fleet := eventsim.NewServers(tables, scheds)
+	servers := make([]*eventsim.Server, len(fleet))
+	for i := range fleet {
+		servers[i] = &fleet[i]
+		if ests != nil && ests[i] != nil {
+			servers[i].SetRates(ests[i])
+			servers[i].SetObserver(ests[i])
+		}
 	}
 	return servers, totalContexts, nil
 }
@@ -290,10 +307,10 @@ func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]*event
 // Simulate runs one farm experiment: Poisson arrivals at cfg.Lambda over
 // workload w, routed by d over fresh servers built from specs.
 func Simulate(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	if err := validate(specs, w, cfg); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	servers, totalContexts, err := buildServers(specs, w, cfg)
 	if err != nil {
 		return nil, err
@@ -308,7 +325,7 @@ func Simulate(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg Config)
 	// (as eventsim's job stream), dispatch decisions.
 	arng := stats.NewRNG(cfg.Seed)
 	drng := stats.NewRNG(cfg.Seed ^ 0xd1b54a32d192ed03)
-	newJob := eventsim.NewJobStream(w, eventsim.LatencyConfig{
+	jobs := eventsim.NewJobStream(w, eventsim.LatencyConfig{
 		Lambda:    cfg.Lambda,
 		Jobs:      cfg.Jobs,
 		Warmup:    cfg.Warmup,
@@ -329,7 +346,7 @@ func Simulate(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg Config)
 	}
 	turnarounds := make([]float64, 0, expected)
 	completed, counted := 0, 0
-	fr := newFaultRun(cfg, len(servers))
+	fr := newFaultRun(cfg, len(servers), jobs)
 
 	// Indexed min-heap over the servers' cached next-completion times:
 	// the globally earliest completion is a peek instead of a scan over
@@ -423,6 +440,7 @@ func Simulate(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg Config)
 						fr.retries = append(fr.retries, float64(j.Retries))
 					}
 				}
+				jobs.Recycle(j) // folded: nothing reads j again
 			}
 			if len(done) > 0 {
 				if err := sv.Reschedule(); err != nil {
@@ -477,7 +495,7 @@ func Simulate(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg Config)
 				return nil, err
 			}
 		case evArrival:
-			j := newJob(now)
+			j := jobs.Next(now)
 			if fr != nil && fr.up == 0 {
 				fr.park(j, rm)
 			} else if err := dispatch(j); err != nil {
@@ -508,14 +526,21 @@ func assembleResult(d Dispatcher, servers []*eventsim.Server, totalContexts int,
 		PerServer:  make([]ServerStats, len(servers)),
 	}
 	var busy, empty, work, downT numeric.KahanSum
+	var prev serverKind
+	var name string
 	for i, sv := range servers {
 		busy.Add(sv.BusyTime())
 		empty.Add(sv.EmptyTime() / now)
 		work.Add(sv.WorkDone())
 		downT.Add(sv.DownTime())
-		name := fmt.Sprintf("%s/%s", sv.Table().Name(), sv.Scheduler().Name())
+		kind := serverKind{table: sv.Table(), sched: sv.Scheduler().Name()}
 		if rs := sv.Rates(); rs != online.RateSource(sv.Table()) {
-			name += "+" + rs.Name()
+			kind.learned, kind.rates = true, rs.Name()
+		}
+		if i == 0 || kind != prev {
+			// Servers built from one spec share a name: build it once per
+			// run of them.
+			name, prev = kind.name(), kind
 		}
 		res.PerServer[i] = ServerStats{
 			Name:          name,
@@ -557,6 +582,23 @@ func assembleResult(d Dispatcher, servers []*eventsim.Server, totalContexts int,
 	}
 	rm.finish(res)
 	return res
+}
+
+// serverKind is what a server's reported name is made of: its table, its
+// scheduler's name and, when it decides over learned rates, the rate
+// source's name.
+type serverKind struct {
+	table        *perfdb.Table
+	sched, rates string
+	learned      bool
+}
+
+// name renders the kind as "table/scheduler", plus "+rates" when learned.
+func (k serverKind) name() string {
+	if k.learned {
+		return k.table.Name() + "/" + k.sched + "+" + k.rates
+	}
+	return k.table.Name() + "/" + k.sched
 }
 
 // arrivalStream returns the next-arrival generator over the arrival RNG:

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"symbiosched/internal/eventsim"
 	"symbiosched/internal/fault"
 	"symbiosched/internal/numeric"
 	"symbiosched/internal/sched"
@@ -26,9 +27,10 @@ const (
 // state: the engines' fault hooks vanish and their event selection
 // reduces exactly to the historical completion-vs-arrival race.
 type faultRun struct {
-	cfg fault.Config // with defaults applied
-	inj *fault.Injector
-	rq  *fault.RetryQueue
+	cfg  fault.Config // with defaults applied
+	inj  *fault.Injector
+	rq   *fault.RetryQueue
+	jobs *eventsim.JobStream // takes back the jobs dropped past the retry cap
 	// parked holds jobs that arrived (or retried) while every server was
 	// down, in arrival order; the next repair drains it FIFO through the
 	// normal dispatch path.
@@ -51,8 +53,9 @@ type faultRun struct {
 }
 
 // newFaultRun builds the run state for cfg's fault config over n
-// servers, or nil when fault injection is disabled.
-func newFaultRun(cfg Config, n int) *faultRun {
+// servers fed by the job stream jobs, or nil when fault injection is
+// disabled.
+func newFaultRun(cfg Config, n int, jobs *eventsim.JobStream) *faultRun {
 	if !cfg.Faults.Enabled() {
 		return nil
 	}
@@ -65,6 +68,7 @@ func newFaultRun(cfg Config, n int) *faultRun {
 		cfg:     fc,
 		inj:     fault.NewInjector(fc, n, cfg.Seed),
 		rq:      &fault.RetryQueue{},
+		jobs:    jobs,
 		up:      n,
 		retries: make([]float64, 0, expected),
 	}
@@ -84,7 +88,8 @@ func (fr *faultRun) droppedJobs() int {
 // progress as wasted work; a victim past the retry cap is dropped (its
 // surviving progress also wasted); the rest re-enter the farm through
 // the retry queue after the deterministic backoff. Victims are
-// processed in the queue order the failed server held them.
+// processed in the queue order the failed server held them. A dropped
+// job is recycled into the job stream once accounted for.
 func (fr *faultRun) crash(t float64, victims []*sched.Job, rm *runMetrics) {
 	fr.up--
 	rm.crash()
@@ -99,6 +104,7 @@ func (fr *faultRun) crash(t float64, victims []*sched.Job, rm *runMetrics) {
 			// (all of it under resume) is wasted too.
 			fr.wasted.Add(j.Size - j.Remaining)
 			fr.dropped++
+			fr.jobs.Recycle(j)
 			continue
 		}
 		fr.rq.Push(j, t+fr.cfg.Backoff(j.Retries))

@@ -93,10 +93,10 @@ const (
 // per completion), idle shards sit in a next-event heap instead of being
 // scanned every slab, and the steady-state slab loop allocates nothing.
 func SimulateSharded(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg Config, sc ShardConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
 	if err := validate(specs, w, cfg); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	servers, totalContexts, err := buildServers(specs, w, cfg)
 	if err != nil {
 		return nil, err
@@ -133,7 +133,7 @@ func SimulateSharded(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg 
 	// engines see the same arrival process and dispatch draws.
 	arng := stats.NewRNG(cfg.Seed)
 	drng := stats.NewRNG(cfg.Seed ^ 0xd1b54a32d192ed03)
-	newJob := eventsim.NewJobStream(w, eventsim.LatencyConfig{
+	jobs := eventsim.NewJobStream(w, eventsim.LatencyConfig{
 		Lambda:    cfg.Lambda,
 		Jobs:      cfg.Jobs,
 		Warmup:    cfg.Warmup,
@@ -158,10 +158,11 @@ func SimulateSharded(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg 
 	}
 	turnarounds := make([]float64, 0, expected)
 	completed, counted := 0, 0
-	fr := newFaultRun(cfg, len(servers))
+	fr := newFaultRun(cfg, len(servers), jobs)
 
-	// fold counts one completion into the turnaround statistics. Callers
-	// must deliver completions in global (time, server index) order.
+	// fold counts one completion into the turnaround statistics and
+	// recycles its job, which nothing reads afterwards. Callers must
+	// deliver completions in global (time, server index) order.
 	fold := func(c eventsim.Completion) {
 		completed++
 		goodput.Add(c.Job.Size)
@@ -174,6 +175,7 @@ func SimulateSharded(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg 
 				fr.retries = append(fr.retries, float64(c.Job.Retries))
 			}
 		}
+		jobs.Recycle(c.Job)
 		if c.T > now {
 			now = c.T
 		}
@@ -428,7 +430,7 @@ func SimulateSharded(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg 
 			}
 		case evArrival:
 			now = nextArrival
-			j := newJob(now)
+			j := jobs.Next(now)
 			if fr != nil && fr.up == 0 {
 				fr.park(j, rm)
 			} else if err := place(now, j); err != nil {

@@ -2,17 +2,29 @@ package farm
 
 import (
 	"testing"
+
+	"symbiosched/internal/alloctest"
 )
 
+// maxAllocsPerJob bounds the farm loops' marginal allocations. Jobs are
+// recycled through the job stream and every server's scratch is carved
+// at construction, so the steady state allocates nothing: the margin
+// measures about zero. A job object per arrival would read 1 (or 1/256
+// from the stream's job chunks alone, which is why the bytes bound below
+// pins the recycling); per-slab goroutine spawns or merge-buffer churn
+// would read far more (the pre-pool sharded engine measured >6 at
+// multi-worker configs).
+const maxAllocsPerJob = 0.01
+
+// maxBytesPerJob bounds the marginal bytes of a run keeping samples
+// float64 samples per counted job (the turnaround sample, and with
+// faults on the retry sample, both pre-sized to the counted jobs): those
+// entries, plus 4 bytes of slack for the free list and queues growing
+// with the run's peak. An unrecycled job would add its 48 bytes.
+func maxBytesPerJob(samples int) float64 { return 8*float64(samples) + 4 }
+
 // TestShardedSlabLoopAllocs pins the zero-steady-state-allocation
-// contract of the slab loop: the only per-job cost the engine is allowed
-// is the job object itself (plus amortised queue growth inside servers).
-// Per-run setup — servers, groups, scratch warm-up — allocates plenty,
-// so the test differences two job counts at identical geometry: the
-// setup terms cancel and what remains is the marginal allocation per
-// additional job across all the slabs it flows through. Before the
-// scratch/pool/merger reuse work this margin included per-slab goroutine
-// and buffer churn; now it must stay within a small constant.
+// contract of the sharded slab loop.
 func TestShardedSlabLoopAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -23,30 +35,46 @@ func TestShardedSlabLoopAllocs(t *testing.T) {
 	for i := range specs {
 		specs[i] = fcfsSpec(tab)
 	}
-	run := func(jobs int) func() {
-		return func() {
-			d, err := NewDispatcher("pd2")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := Config{Lambda: 1.5 * n, Jobs: jobs, SizeShape: 4, Seed: 3}
-			if _, err := SimulateSharded(specs, d, w4(), cfg, ShardConfig{Shards: 16, Workers: 1}); err != nil {
-				t.Fatal(err)
-			}
+	allocs, bytes := alloctest.MarginalPerJob(t, func(jobs int) {
+		d, err := NewDispatcher("pd2")
+		if err != nil {
+			t.Fatal(err)
 		}
+		cfg := Config{Lambda: 1.5 * n, Jobs: jobs, SizeShape: 4, Seed: 3}
+		if _, err := SimulateSharded(specs, d, w4(), cfg, ShardConfig{Shards: 16, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocsPerJob || bytes > maxBytesPerJob(1) {
+		t.Fatalf("slab loop allocates %.3f times and %.2f bytes per job, want <= %v and <= %v",
+			allocs, bytes, maxAllocsPerJob, maxBytesPerJob(1))
 	}
-	const lo, hi = 2000, 8000
-	aLo := testing.AllocsPerRun(5, run(lo))
-	aHi := testing.AllocsPerRun(5, run(hi))
-	perJob := (aHi - aLo) / float64(hi-lo)
-	// One *sched.Job per arrival plus amortised scheduler-queue growth.
-	// 2.5 is ~2x headroom over the measured margin; per-slab goroutine
-	// spawns or merge-buffer churn would blow far past it (the pre-pool
-	// engine measured >6 here at multi-worker configs).
-	const maxPerJob = 2.5
-	if perJob > maxPerJob {
-		t.Fatalf("slab loop allocates %.2f per job (lo=%v hi=%v), want <= %v",
-			perJob, aLo, aHi, maxPerJob)
+}
+
+// TestSerialFarmLoopAllocs pins the same contract on the serial engine,
+// with faults on so the crash, retry and park paths run too.
+func TestSerialFarmLoopAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
 	}
-	t.Logf("marginal allocs per job: %.3f (lo=%.0f hi=%.0f)", perJob, aLo, aHi)
+	tab := smtTable(t)
+	const n = 16
+	specs := make([]ServerSpec, n)
+	for i := range specs {
+		specs[i] = fcfsSpec(tab)
+	}
+	allocs, bytes := alloctest.MarginalPerJob(t, func(jobs int) {
+		d, err := NewDispatcher("jsq")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Lambda: 1.5 * n, Jobs: jobs, SizeShape: 4, Seed: 3, Faults: faultCfg()}
+		if _, err := Simulate(specs, d, w4(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocsPerJob || bytes > maxBytesPerJob(2) {
+		t.Fatalf("serial loop allocates %.3f times and %.2f bytes per job, want <= %v and <= %v",
+			allocs, bytes, maxAllocsPerJob, maxBytesPerJob(2))
+	}
 }

@@ -31,7 +31,13 @@ type GateResult struct {
 // a pinned benchmark must not pass. When both records carry
 // CalibrationBench, drifts are normalised by the calibration ratio;
 // otherwise raw ns/op ratios are compared (same-machine comparisons).
-// Improvements (negative drift) never fail.
+// Improvements (negative drift) never fail. Corrupt timings do: a
+// pinned benchmark whose ns/op is not a finite positive number on
+// either side fails, as does any drift that is not a finite number at
+// or below tol, and when both records carry CalibrationBench but either
+// calibration is not a finite positive number, every pinned benchmark
+// fails — the drifts cannot be normalised, and comparing raw ns/op
+// across machines could hide a regression.
 func Gate(base, cur *Record, names []string, tol float64) ([]GateResult, error) {
 	bb := map[string]Bench{}
 	for _, b := range base.Benches {
@@ -41,11 +47,12 @@ func Gate(base, cur *Record, names []string, tol float64) ([]GateResult, error) 
 	for _, b := range cur.Benches {
 		cb[b.Name] = b
 	}
-	scale := 1.0
+	scale, calOK := 1.0, true
 	if bc, ok1 := bb[CalibrationBench]; ok1 {
-		if cc, ok2 := cb[CalibrationBench]; ok2 && bc.NsPerOp > 0 && cc.NsPerOp > 0 {
+		if cc, ok2 := cb[CalibrationBench]; ok2 {
 			// cur ns are worth (base_cal / cur_cal) base ns.
 			scale = bc.NsPerOp / cc.NsPerOp
+			calOK = validNs(bc.NsPerOp) && validNs(cc.NsPerOp)
 		}
 	}
 	var out []GateResult
@@ -57,13 +64,17 @@ func Gate(base, cur *Record, names []string, tol float64) ([]GateResult, error) 
 			continue
 		}
 		drift := (c.NsPerOp*scale)/b.NsPerOp - 1
+		ok := calOK && validNs(b.NsPerOp) && validNs(c.NsPerOp) && drift <= tol && !math.IsInf(drift, 0)
 		out = append(out, GateResult{
 			Name: name, BaseNs: b.NsPerOp, CurNs: c.NsPerOp,
-			Drift: drift, Failed: drift > tol,
+			Drift: drift, Failed: !ok,
 		})
 	}
 	return out, nil
 }
+
+// validNs reports whether ns is a usable timing: finite and positive.
+func validNs(ns float64) bool { return ns > 0 && !math.IsInf(ns, 1) }
 
 // FormatGate renders gate results; failed lines carry a FAIL marker so
 // CI logs point straight at the regressing benchmark.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -17,12 +18,17 @@ import (
 // ignoring everything that is not a benchmark line (headers, PASS/ok
 // trailers, sub-benchmark logs). The trailing -<GOMAXPROCS> suffix is
 // stripped so records compare across machines with different core
-// counts.
+// counts. A benchmark line whose run count, ns/op, B/op or allocs/op is
+// not a finite, non-negative number (NaN, ±Inf, a negative count or
+// time) is corrupt output: ParseBench returns an error naming the line
+// rather than recording it. Other columns — custom b.ReportMetric units,
+// which may well be signed — are not recorded, so their values are not
+// checked.
 func ParseBench(r io.Reader) ([]Bench, error) {
 	var out []Bench
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
+	for line := 1; sc.Scan(); line++ {
 		f := strings.Fields(sc.Text())
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
@@ -31,6 +37,9 @@ func ParseBench(r io.Reader) ([]Bench, error) {
 		if err != nil {
 			continue
 		}
+		if runs < 0 {
+			return nil, fmt.Errorf("resultdb: parse bench: line %d: negative run count %d", line, runs)
+		}
 		b := Bench{Name: trimProcSuffix(f[0]), Runs: runs, BytesPerOp: -1, AllocsPerOp: -1}
 		ok := false
 		for i := 2; i+1 < len(f); i += 2 {
@@ -38,14 +47,21 @@ func ParseBench(r io.Reader) ([]Bench, error) {
 			if err != nil {
 				break
 			}
+			var dst *float64
 			switch f[i+1] {
 			case "ns/op":
-				b.NsPerOp, ok = v, true
+				dst, ok = &b.NsPerOp, true
 			case "B/op":
-				b.BytesPerOp = v
+				dst = &b.BytesPerOp
 			case "allocs/op":
-				b.AllocsPerOp = v
+				dst = &b.AllocsPerOp
+			default:
+				continue
 			}
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("resultdb: parse bench: line %d: %s %s is not a finite non-negative value", line, f[i], f[i+1])
+			}
+			*dst = v
 		}
 		if ok {
 			out = append(out, b)

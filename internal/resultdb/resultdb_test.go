@@ -355,3 +355,122 @@ func TestGetCorruptRecord(t *testing.T) {
 		t.Errorf("intact record no longer loads: %v", err)
 	}
 }
+
+// TestGateFailsCorruptTimings pins that corrupt ns/op never passes the
+// gate: a NaN timing (NaN drift), a negative one (a finite drift below
+// -100%) and 0 ns/op on both sides (0/0) each fail, with or without
+// calibration normalisation.
+func TestGateFailsCorruptTimings(t *testing.T) {
+	const name = "BenchmarkSchedulerSelect/MAXIT"
+	cases := []struct {
+		desc      string
+		base, cur float64
+	}{
+		{"NaN current", 143.1, math.NaN()},
+		{"negative current", 143.1, -5},
+		{"zero on both sides", 0, 0},
+		{"NaN baseline", math.NaN(), 143.1},
+		{"infinite current", 143.1, math.Inf(1)},
+	}
+	for _, calibrated := range []bool{true, false} {
+		for _, tc := range cases {
+			base, cur := sampleRecord(), sampleRecord()
+			if !calibrated {
+				base.Benches, cur.Benches = base.Benches[:1], cur.Benches[:1]
+			}
+			base.Benches[0].NsPerOp, cur.Benches[0].NsPerOp = tc.base, tc.cur
+			rs, err := Gate(base, cur, []string{name}, 0.10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !Failed(rs) {
+				t.Errorf("%s (calibrated %v): gate passed %+v", tc.desc, calibrated, rs)
+			}
+		}
+	}
+	// A corrupt calibration on either side fails every pinned benchmark,
+	// even one whose raw ns/op did not move: the gate cannot normalise,
+	// and raw ns/op across machines could hide a regression.
+	for _, side := range []string{"base", "cur"} {
+		for _, cal := range []float64{math.NaN(), 0, -1, math.Inf(1)} {
+			base, cur := sampleRecord(), sampleRecord()
+			rec := base
+			if side == "cur" {
+				rec = cur
+			}
+			rec.Benches[1].NsPerOp = cal
+			rs, err := Gate(base, cur, []string{name}, 0.10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !Failed(rs) {
+				t.Errorf("%s calibration %v: gate passed %+v", side, cal, rs)
+			}
+		}
+	}
+}
+
+// TestParseBenchRejectsCorruptValues pins that bench output carrying a
+// NaN, infinite or negative value is an error naming the line, not a
+// record.
+func TestParseBenchRejectsCorruptValues(t *testing.T) {
+	for _, bad := range []string{
+		"BenchmarkX-8  100  NaN ns/op",
+		"BenchmarkX-8  100  +Inf ns/op",
+		"BenchmarkX-8  100  -5 ns/op",
+		"BenchmarkX-8  100  5 ns/op  -1 B/op",
+		"BenchmarkX-8  100  5 ns/op  0 B/op  Inf allocs/op",
+		"BenchmarkX-8  -100  5 ns/op",
+	} {
+		out := "goos: linux\nBenchmarkOK-8  10  7 ns/op\n" + bad + "\nPASS\n"
+		bs, err := ParseBench(strings.NewReader(out))
+		if err == nil {
+			t.Errorf("%q: parsed %+v, want an error", bad, bs)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%q: error %q does not name line 3", bad, err)
+		}
+	}
+	// Custom b.ReportMetric columns are not recorded and may be signed or
+	// non-finite: they never make a line corrupt.
+	for _, good := range []string{
+		"BenchmarkX-8  1  5 ns/op  -0.4 markovVsSim%",
+		"BenchmarkX-8  1  5 ns/op  -12 queueDelayCycles  0 B/op  0 allocs/op",
+		"BenchmarkX-8  1  NaN corr  5 ns/op",
+	} {
+		bs, err := ParseBench(strings.NewReader(good + "\n"))
+		if err != nil {
+			t.Errorf("%q: %v", good, err)
+			continue
+		}
+		if len(bs) != 1 || bs[0].NsPerOp != 5 {
+			t.Errorf("%q: parsed %+v, want one bench at 5 ns/op", good, bs)
+		}
+	}
+}
+
+// FuzzParseBench feeds arbitrary text to ParseBench: it must never panic,
+// and whatever it accepts carries only finite, non-negative timings and
+// counts (B/op and allocs/op may also read -1, the absent marker).
+func FuzzParseBench(f *testing.F) {
+	f.Add("BenchmarkSchedulerSelect/MAXIT/depth=32-16  8246792  143.1 ns/op  0 B/op  0 allocs/op\n")
+	f.Add("BenchmarkCalibration-16  5000  250000 ns/op\nPASS\n")
+	f.Add("BenchmarkX-8 100 NaN ns/op\n")
+	f.Add("BenchmarkX-8 100 -5 ns/op\nBenchmarkY 1 1e400 ns/op\n")
+	f.Add("goos: linux\nBenchmarkZ-2 3 0x1p-2 ns/op 7 widgets/op\nok\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		bs, err := ParseBench(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		finite := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+		for _, b := range bs {
+			if b.Runs < 0 || !finite(b.NsPerOp) ||
+				!(finite(b.BytesPerOp) || b.BytesPerOp == -1) ||
+				!(finite(b.AllocsPerOp) || b.AllocsPerOp == -1) {
+				t.Fatalf("ParseBench(%q) accepted %+v", in, b)
+			}
+		}
+	})
+}

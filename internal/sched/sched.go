@@ -69,6 +69,9 @@ type Scheduler interface {
 	// pinned by TestSelectRequiresArrivalOrder. The returned slice is
 	// owned by the scheduler (or shared, for FCFS) and is only valid
 	// until the next Select call; callers must not mutate or retain it.
+	// In turn, implementations must not keep a *Job to read after Select
+	// returns: the event loops recycle a completed job's storage for a
+	// later arrival.
 	Select(jobs []*Job, k int) []int
 }
 
