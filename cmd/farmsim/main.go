@@ -36,16 +36,15 @@
 // from the per-replication seeds and the server index only, so every
 // dispatcher and load faces the same outage trajectory.
 //
-// -shards > 0 runs every simulation on the sharded time-slab engine
-// (contiguous server partitions advanced in parallel between
-// synchronization points; see internal/farm.SimulateSharded), which is
-// what makes 100k-server farms tractable. -slab caps the slab length in
-// simulated time; at the default 0 the engine adapts the cap to the
-// observed event density (see internal/farm: the estimate reads only the
-// deterministic event stream, never worker count or wall time, so the
-// adaptive schedule is reproducible). Sharded results are byte-identical at any
-// -shards/-slab/-parallel combination, but differ from the serial engine
-// in float rounding.
+// -shards and -slab are execution settings of the farm's time-slab
+// engine (contiguous server partitions advanced in parallel between
+// synchronization points; see internal/farm.SimulateSharded): -shards
+// sets the partition count and -slab caps the slab length in simulated
+// time. At the default 0 each takes the engine default; for -slab that
+// is a cap adapted to the observed event density (the estimate reads
+// only the deterministic event stream, never worker count or wall time,
+// so the adaptive schedule is reproducible). Output is byte-identical at
+// any -shards/-slab/-parallel combination.
 //
 // Replication sweeps run through the shared runner engine: output is
 // byte-identical at any -parallel value.
@@ -110,8 +109,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		retries     = fs.Int("retries", 5, "retry cap per job: a crash victim past this many attempts is dropped")
 		retryDelay  = fs.Float64("retry-delay", 0.5, "base re-dispatch backoff; attempt k waits delay*2^(k-1)")
 		checkpoint  = fs.String("checkpoint", string(fault.Restart), "crash checkpoint policy: restart (redo lost work) or resume (keep progress)")
-		shards      = fs.Int("shards", 0, "run on the sharded time-slab engine with this many shards (0 = serial engine)")
-		slab        = fs.Float64("slab", 0, "cap the sharded engine's slab length in simulated time (0 = adaptive, tuned from observed event density)")
+		shards      = fs.Int("shards", 0, "engine shard count (0 = engine default; results are identical at any value)")
+		slab        = fs.Float64("slab", 0, "cap the engine's slab length in simulated time (0 = adaptive, tuned from observed event density)")
 		parallel    = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size (results are identical at any value)")
 		cacheDir    = fs.String("cache", "", "cache built performance databases as gob files in this directory")
 		csvDir      = fs.String("csv", "", "also write the result grid as a CSV file into this directory")
@@ -126,9 +125,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		}
 		return 2
 	}
-	if *probeD < 1 {
-		fmt.Fprintf(stderr, "farmsim: -d wants a probe count >= 1, got %d\n", *probeD)
-		return 2
+	for _, c := range []struct {
+		flag string
+		v    int
+	}{{"-servers", *servers}, {"-jobs", *jobs}, {"-reps", *reps}, {"-d", *probeD}, {"-parallel", *parallel}} {
+		if c.v < 1 {
+			fmt.Fprintf(stderr, "farmsim: %s wants a count >= 1, got %d\n", c.flag, c.v)
+			return 2
+		}
 	}
 	if *shards < 0 {
 		fmt.Fprintf(stderr, "farmsim: -shards wants a count >= 0, got %d\n", *shards)
@@ -136,10 +140,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	}
 	if *slab < 0 || math.IsNaN(*slab) {
 		fmt.Fprintf(stderr, "farmsim: -slab wants a duration >= 0 (0 = adaptive), got %v\n", *slab)
-		return 2
-	}
-	if *parallel < 1 {
-		fmt.Fprintf(stderr, "farmsim: -parallel wants a worker count >= 1, got %d\n", *parallel)
 		return 2
 	}
 	var dispList []string

@@ -89,33 +89,37 @@ func TestRunDeterministicAcrossParallel(t *testing.T) {
 	}
 }
 
-// TestRunShardedPD smoke-runs the sharded engine with power-of-d
-// dispatch: a bare "pd" in -dispatchers picks up the -d probe count, and
-// -shards routes every simulation through SimulateSharded. The sharded
-// engine's byte-identity across worker counts is pinned here at the CLI
-// level via -parallel.
+// TestRunShardedPD smoke-runs power-of-d dispatch under explicit engine
+// settings: a bare "pd" in -dispatchers picks up the -d probe count, and
+// -shards/-slab are pure execution settings — the default engine shape
+// and -shards 3 -slab 0.5, at -parallel 1 and NumCPU, print
+// byte-identical reports.
 func TestRunShardedPD(t *testing.T) {
 	var outs []string
-	for _, p := range []string{"1", strconv.Itoa(runtime.NumCPU())} {
+	for _, settings := range [][]string{
+		{"-shards", "0", "-parallel", "1"},
+		{"-shards", "3", "-slab", "0.5", "-parallel", "1"},
+		{"-shards", "3", "-slab", "0.5", "-parallel", strconv.Itoa(runtime.NumCPU())},
+	} {
 		var out, errb strings.Builder
-		code := run(context.Background(), []string{
+		args := append([]string{
 			"-servers", "6", "-jobs", "800", "-reps", "2",
 			"-dispatchers", "pd,pd1", "-d", "3", "-loads", "0.8",
-			"-shards", "3", "-slab", "0.5", "-parallel", p,
-		}, &out, &errb)
-		if code != 0 {
-			t.Fatalf("-parallel %s: run = %d, stderr: %s", p, code, errb.String())
+		}, settings...)
+		if code := run(context.Background(), args, &out, &errb); code != 0 {
+			t.Fatalf("%v: run = %d, stderr: %s", settings, code, errb.String())
 		}
 		outs = append(outs, out.String())
 	}
-	got := outs[0]
-	for _, want := range []string{"[sharded x3]", "pd3", "pd1"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
+	for _, want := range []string{"pd3", "pd1"} {
+		if !strings.Contains(outs[0], want) {
+			t.Errorf("output missing %q:\n%s", want, outs[0])
 		}
 	}
-	if outs[0] != outs[1] {
-		t.Errorf("sharded output differs across -parallel:\n--- p=1 ---\n%s\n--- wide ---\n%s", outs[0], outs[1])
+	for i := 1; i < len(outs); i++ {
+		if outs[i] != outs[0] {
+			t.Errorf("output depends on the engine settings:\n--- default ---\n%s\n--- variant %d ---\n%s", outs[0], i, outs[i])
+		}
 	}
 }
 
@@ -210,15 +214,30 @@ func TestRunErrors(t *testing.T) {
 	if code := run(context.Background(), []string{"-jobs", "300", "-reps", "1", "-loads", "0.5", "-sched", "NOPE"}, &out, &errb); code != 1 {
 		t.Errorf("unknown scheduler: run = %d, want 1", code)
 	}
-	if code := run(context.Background(), []string{"-d", "0"}, &out, &errb); code != 2 {
-		t.Errorf("bad probe count: run = %d, want 2", code)
+	// Counts below 1 are usage errors naming the flag, never a silent
+	// fallback to the default.
+	for _, bad := range [][]string{
+		{"-d", "0"},
+		{"-servers", "-3"},
+		{"-servers", "0"},
+		{"-jobs", "-300"},
+		{"-reps", "-1"},
+		{"-reps", "0"},
+	} {
+		errb.Reset()
+		if code := run(context.Background(), bad, &out, &errb); code != 2 {
+			t.Errorf("run(%v) = %d, want 2", bad, code)
+		}
+		if !strings.Contains(errb.String(), bad[0]) {
+			t.Errorf("run(%v): stderr does not name %s: %s", bad, bad[0], errb.String())
+		}
 	}
 }
 
 // TestRunEngineFlagValidation pins the up-front exit-2 contract on the
-// sharded-engine knobs: negative or non-finite geometry is a usage
-// error caught before any simulation runs, while -slab 0 (adaptive) is
-// a valid working configuration.
+// engine knobs and run sizes: negative or non-finite geometry, and
+// counts below 1, are usage errors caught before any simulation runs,
+// while -slab 0 (adaptive) is a valid working configuration.
 func TestRunEngineFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -230,6 +249,8 @@ func TestRunEngineFlagValidation(t *testing.T) {
 		{"negative slab", []string{"-slab", "-0.5"}, 2, "-slab"},
 		{"nan slab", []string{"-slab", "NaN"}, 2, "-slab"},
 		{"zero parallel", []string{"-parallel", "0"}, 2, "-parallel"},
+		{"zero jobs", []string{"-jobs", "0"}, 2, "-jobs"},
+		{"negative servers", []string{"-servers", "-3"}, 2, "-servers"},
 		{"negative parallel", []string{"-parallel", "-2"}, 2, "-parallel"},
 		{"adaptive slab runs", []string{
 			"-servers", "4", "-shards", "2", "-slab", "0",

@@ -115,8 +115,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		fs.Usage()
 		return 2
 	}
-	if *parallel < 1 {
-		fmt.Fprintf(stderr, "symbiosim: -parallel wants a worker count >= 1, got %d\n", *parallel)
+	for _, c := range []struct {
+		flag string
+		v    int
+	}{{"-fcfs-jobs", *fcfsJobs}, {"-sim-jobs", *simJobs}, {"-parallel", *parallel}} {
+		if c.v < 1 {
+			fmt.Fprintf(stderr, "symbiosim: %s wants a count >= 1, got %d\n", c.flag, c.v)
+			return 2
+		}
+	}
+	if *sample < 0 {
+		fmt.Fprintf(stderr, "symbiosim: -sample wants a count >= 0 (0 = all workloads), got %d\n", *sample)
 		return 2
 	}
 	if *slab < 0 || math.IsNaN(*slab) {

@@ -84,17 +84,25 @@ func TestRunErrors(t *testing.T) {
 	if !strings.Contains(errb.String(), "unknown scenario") {
 		t.Errorf("unknown scenario not reported: %s", errb.String())
 	}
-	// Engine knobs are validated up front: negative geometry is a usage
-	// error before any scenario runs.
+	// Engine knobs and run sizes are validated up front: negative
+	// geometry or a count below its minimum is a usage error naming the
+	// flag, before any scenario runs.
 	for _, bad := range [][]string{
 		{"-parallel", "0", "run", "fig4"},
 		{"-parallel", "-3", "run", "fig4"},
 		{"-slab", "-1", "run", "megafarm"},
 		{"-slab", "NaN", "run", "megafarm"},
+		{"-sim-jobs", "-5", "run", "fig5"},
+		{"-sim-jobs", "0", "run", "farm"},
+		{"-fcfs-jobs", "-5", "run", "table1"},
+		{"-sample", "-3", "run", "fig5"},
 	} {
 		errb.Reset()
 		if code := run(context.Background(), bad, &out, &errb); code != 2 {
 			t.Errorf("run(%v) = %d, want 2; stderr: %s", bad, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), bad[0]) {
+			t.Errorf("run(%v): stderr does not name %s: %s", bad, bad[0], errb.String())
 		}
 	}
 }

@@ -7,9 +7,9 @@
 //
 // The experiment runs through internal/farm as a farm of one server: the
 // single-server scenario of the paper is the N=1 special case of the farm
-// simulator (and reproduces the direct eventsim.Latency call bit for bit).
-// Pass -servers 4 to see the same contest on a four-server farm behind a
-// symbiosis-aware dispatcher.
+// simulator, which agrees with the direct eventsim.Latency call to float
+// rounding. Pass -servers 4 to see the same contest on a four-server farm
+// behind a symbiosis-aware dispatcher.
 //
 // Run with: go run ./examples/serverfarm [-load 0.95] [-jobs 30000] [-servers 1]
 package main
@@ -59,11 +59,11 @@ func main() {
 		}
 		// The symbiosis-aware dispatcher reduces to "the one server" at
 		// N=1, so the farm-of-1 runs are exactly the paper's scenario.
-		res, err := farm.Simulate(specs, &farm.LeastInterference{}, w, farm.Config{
+		res, err := farm.SimulateSharded(specs, &farm.LeastInterference{}, w, farm.Config{
 			Lambda:    lambda,
 			Jobs:      *jobs,
 			SizeShape: 4, // jobs of "approximately the same size"
-		})
+		}, farm.ShardConfig{})
 		if err != nil {
 			panic(err)
 		}

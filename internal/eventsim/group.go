@@ -17,12 +17,14 @@ type Completion struct {
 
 // Group is a shard-steppable set of servers: each server keeps its own
 // local clock and is advanced lazily, only at its own events — a
-// completion, a delivered arrival, or a final settle. Server state is
-// piecewise-constant between its own events, so skipping the intermediate
-// global events changes nothing observable at this server; only the
-// order in which the busy/empty/work Kahan integrals accumulate their
-// (identical) interval terms differs from a lockstep loop, an
-// ulp-magnitude effect.
+// completion, a delivered arrival, a caller's Settle, or a final settle.
+// Server state is piecewise-constant between its own events, so skipping
+// the intermediate global events changes nothing observable at this
+// server; only the order in which the busy/empty/work Kahan integrals
+// accumulate their (identical) interval terms differs from a lockstep
+// loop, an ulp-magnitude effect. (A learned rate source is the
+// exception: it has not measured the interval since the server's last
+// event, which is what Settle is for.)
 //
 // A TimeHeap keyed by absolute next-completion times orders the group's
 // events; processing pops in (time, server index) order makes a group's
@@ -81,7 +83,7 @@ func (g *Group) refresh(i int, t float64) {
 // AdvanceTo processes every completion in the group with event time at
 // most horizon, in (time, server index) order, advancing only the
 // servers involved. It returns the completions in that order; the slice
-// is group-owned scratch, valid until the next AdvanceTo/Deliver call.
+// is group-owned scratch, valid until the next call into the group.
 func (g *Group) AdvanceTo(horizon float64) ([]Completion, error) {
 	g.buf = g.buf[:0]
 	for {
@@ -113,7 +115,7 @@ func (g *Group) AdvanceTo(horizon float64) ([]Completion, error) {
 }
 
 // advanceAt is the shared prologue of the group's point events
-// (Deliver/Fail/Repair/SettleTo): bring server i's local clock to
+// (Settle/Deliver/Fail/Repair/SettleTo): bring server i's local clock to
 // absolute time t and return the jobs that finished on the way — all at
 // t itself, within the completion epsilon, exactly as a lockstep advance
 // would complete them. The caller applies its event and refreshes the
@@ -129,6 +131,38 @@ func (g *Group) advanceAt(i int, t float64) []*sched.Job {
 	return done
 }
 
+// completeAt is advanceAt recording the finished jobs as completions at
+// t in the group's scratch buffer, which it returns.
+func (g *Group) completeAt(i int, t float64) []Completion {
+	g.buf = g.buf[:0]
+	for _, dj := range g.advanceAt(i, t) {
+		g.buf = append(g.buf, Completion{T: t, Server: i, Job: dj})
+	}
+	return g.buf
+}
+
+// Settle brings server i to absolute time t without adding a job:
+// Deliver's prologue on its own. Its observers see the interval since
+// the server's last event, so a learned rate source probed at t has
+// measured everything up to t. Jobs finishing within the completion
+// epsilon at t are returned and the server rescheduled; the heap key is
+// refreshed either way. The caller must have processed all group events
+// up to t first (AdvanceTo(t)). The returned slice shares the group's
+// scratch buffer.
+func (g *Group) Settle(t float64, i int) ([]Completion, error) {
+	if i < 0 || i >= len(g.servers) {
+		return nil, fmt.Errorf("eventsim: settle server %d of %d", i, len(g.servers))
+	}
+	done := g.completeAt(i, t)
+	if len(done) > 0 {
+		if err := g.servers[i].Reschedule(); err != nil {
+			return nil, err
+		}
+	}
+	g.refresh(i, t)
+	return done, nil
+}
+
 // Deliver routes job j to server i at absolute time t: the server is
 // advanced to t (any job finishing within the completion epsilon at t is
 // returned, exactly as a lockstep advance would complete it), the job is
@@ -139,17 +173,14 @@ func (g *Group) Deliver(t float64, i int, j *sched.Job) ([]Completion, error) {
 	if i < 0 || i >= len(g.servers) {
 		return nil, fmt.Errorf("eventsim: deliver to server %d of %d", i, len(g.servers))
 	}
+	done := g.completeAt(i, t)
 	sv := g.servers[i]
-	g.buf = g.buf[:0]
-	for _, dj := range g.advanceAt(i, t) {
-		g.buf = append(g.buf, Completion{T: t, Server: i, Job: dj})
-	}
 	sv.Add(j)
 	if err := sv.Reschedule(); err != nil {
 		return nil, err
 	}
 	g.refresh(i, t)
-	return g.buf, nil
+	return done, nil
 }
 
 // Fail crashes server i at absolute time t: the server is first
@@ -164,13 +195,10 @@ func (g *Group) Fail(t float64, i int) ([]Completion, []*sched.Job, error) {
 	if i < 0 || i >= len(g.servers) {
 		return nil, nil, fmt.Errorf("eventsim: fail server %d of %d", i, len(g.servers))
 	}
-	g.buf = g.buf[:0]
-	for _, dj := range g.advanceAt(i, t) {
-		g.buf = append(g.buf, Completion{T: t, Server: i, Job: dj})
-	}
+	done := g.completeAt(i, t)
 	victims := g.servers[i].Fail()
 	g.refresh(i, t) // time-to-completion is now +Inf: leaves the heap
-	return g.buf, victims, nil
+	return done, victims, nil
 }
 
 // Repair returns server i to service at absolute time t, closing its

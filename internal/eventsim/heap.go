@@ -2,14 +2,14 @@ package eventsim
 
 import "math"
 
-// TimeHeap is an indexed 4-ary min-heap over per-server event times. The
-// serial farm event loop keys it by cached time-to-next-completion deltas;
-// the sharded Group keys it by absolute next-completion times, the shard
+// TimeHeap is an indexed 4-ary min-heap over per-server event times. A
+// Group keys it by absolute next-completion times, the farm's shard
 // frontier by shard next-event times and the fault injector by next
-// fault times. It holds only busy servers (finite keys), Update is an
-// O(1) no-op for servers whose key did not move (idle ones between
-// events), and sifts are near-O(1) in the common case where every busy
-// key shrinks by the same dt, preserving relative order.
+// fault times; a lockstep loop can key it by time-to-next-completion
+// deltas, where sifts are near-O(1) because every busy key shrinks by
+// the same dt, preserving relative order. It holds only busy servers
+// (finite keys), and Update is an O(1) no-op for servers whose key did
+// not move (idle ones between events).
 //
 // Ties order by server index, so (key, index) is a total order and the
 // minimum it defines is unique: Min, MinIndex and the pop sequence are a

@@ -39,16 +39,12 @@ type FarmOptions struct {
 	Loads []float64
 	// Replications is the number of seeds per cell (default 3).
 	Replications int
-	// Shards, when positive, runs every cell on the sharded time-slab
-	// engine (farm.SimulateSharded) with that many shards; zero keeps the
-	// serial engine. The sharded engine's output is byte-identical at any
-	// shard/worker/slab setting, but differs from the serial engine by
-	// float-advance partitioning, so flipping it is a golden-visible
-	// engine choice, not a tuning knob.
+	// Shards and Slab are the farm engine's execution settings
+	// (farm.ShardConfig): the shard count and the synchronization slab
+	// cap in simulated time, zero meaning the engine default. Output is
+	// byte-identical at any value.
 	Shards int
-	// Slab optionally caps the sharded engine's synchronization slab
-	// length in simulated time (only meaningful with Shards > 0).
-	Slab float64
+	Slab   float64
 	// Faults, when enabled (MTBF > 0), injects deterministic server
 	// failure/repair into every cell (internal/fault). The fault streams
 	// derive from the replication seeds, so every dispatcher and load
@@ -216,9 +212,6 @@ func farmPlan(e *Env, opt FarmOptions, tableName string) (*scenario.Plan, error)
 	if opt.Estimator != "oracle" {
 		name += " @ " + opt.Estimator
 	}
-	if opt.Shards > 0 {
-		name += fmt.Sprintf(" [sharded x%d]", opt.Shards)
-	}
 	if opt.Faults.Enabled() {
 		name += fmt.Sprintf(" !mtbf=%g", opt.Faults.MTBF)
 	}
@@ -243,15 +236,9 @@ func farmPlan(e *Env, opt FarmOptions, tableName string) (*scenario.Plan, error)
 				Metrics:   e.Cfg.Metrics,
 				Faults:    opt.Faults,
 			}
-			var rep farm.Replication
-			var err error
-			if opt.Shards > 0 {
-				rep, err = farm.ReplicateSharded(specs, disp, w, cfg,
-					farm.ShardConfig{Shards: opt.Shards, Workers: e.Cfg.Parallelism, Slab: opt.Slab},
-					pt.Index("rep"))
-			} else {
-				rep, err = farm.Replicate(specs, disp, w, cfg, pt.Index("rep"))
-			}
+			rep, err := farm.ReplicateSharded(specs, disp, w, cfg,
+				farm.ShardConfig{Shards: opt.Shards, Workers: e.Cfg.Parallelism, Slab: opt.Slab},
+				pt.Index("rep"))
 			if err != nil {
 				return nil, fmt.Errorf("farm %s load %.2f: %w", disp, load, err)
 			}

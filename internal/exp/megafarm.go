@@ -10,10 +10,10 @@ import (
 	"symbiosched/internal/scenario"
 )
 
-// MegafarmScenario exercises the regime the serial farm engine cannot
+// MegafarmScenario exercises the regime a lockstep farm loop cannot
 // reach: farms large enough that probing every server per arrival (li,
-// jsq) is off the table and the O(N)-per-event lockstep advance dominates
-// the wall clock. Every cell runs on the sharded time-slab engine
+// jsq) is off the table and an O(N)-per-event lockstep advance would
+// dominate the wall clock. Every cell runs on the farm's time-slab engine
 // (farm.SimulateSharded) under power-of-d-choices dispatch, sweeping farm
 // size x probe count x load. The d axis is the supermarket-model story at
 // farm scale: d = 1 is random splitting, d = 2 already buys most of the

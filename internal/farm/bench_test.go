@@ -8,11 +8,12 @@ import (
 	"symbiosched/internal/fault"
 )
 
-// BenchmarkFarmScaling measures one farm simulation as the server count
-// grows with the offered load held at ~0.8 of aggregate capacity. The
-// per-event cost of finding the next completion is what separates the
-// implementations here; output is pinned identical across iterations, so
-// the benchmark doubles as a determinism check at every size.
+// BenchmarkFarmScaling measures one farm simulation at the engine's
+// default execution settings as the server count grows with the offered
+// load held at ~0.8 of aggregate capacity: the per-event cost should stay
+// near flat in the server count. Output is pinned identical across
+// iterations, so the benchmark doubles as a determinism check at every
+// size.
 func BenchmarkFarmScaling(b *testing.B) {
 	tab := smtTable(b)
 	for _, n := range []int{4, 64, 512} {
@@ -26,7 +27,7 @@ func BenchmarkFarmScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := Simulate(specs, &RoundRobin{}, w4(), cfg)
+				res, err := SimulateSharded(specs, &RoundRobin{}, w4(), cfg, ShardConfig{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -128,10 +129,10 @@ func BenchmarkFarmFaultOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkFarmSharded measures the sharded time-slab engine against the
-// same workload shape: shards=1/workers=1 isolates the lazy per-server
-// advance (O(log n) per event vs the serial engine's O(N) sweep), the
-// NumCPU variant adds slab parallelism on top. Output is pinned across
+// BenchmarkFarmSharded measures the engine's shard geometries on one
+// workload shape: shards=1/workers=1 isolates the lazy per-server
+// advance (O(log n) per event), the NumCPU variant adds slab
+// parallelism on top. Output is pinned across
 // iterations — and across the two shard configurations, since the sharded
 // Result is byte-identical at any Shards/Workers setting.
 func BenchmarkFarmSharded(b *testing.B) {

@@ -19,14 +19,14 @@ import (
 //
 // Under fault injection servers can be out of service (Server.Up
 // reports false): every policy must skip them — graceful degradation to
-// the up-set. up is the number of in-service servers; the engines pass
-// len(servers) when faults are disabled and never call Pick with
+// the up-set. up is the number of in-service servers; the engine passes
+// len(servers) when faults are disabled and never calls Pick with
 // up == 0 (an all-down farm parks arrivals instead of dispatching).
 // With every server up the policies draw and pick bit-identically to
 // the pre-fault dispatchers.
 //
 // Pick must not keep j, or any job it reaches through a server, to read
-// after it returns: the engines recycle a job's storage for a later
+// after it returns: the engine recycles a job's storage for a later
 // arrival once its completion is folded.
 type Dispatcher interface {
 	// Name identifies the policy in reports.
@@ -70,7 +70,7 @@ func (d *RoundRobin) Pick(_ *sched.Job, servers []*eventsim.Server, _ int, _ *st
 			return i
 		}
 	}
-	return -1 // unreachable: the engines never Pick with up == 0
+	return -1 // unreachable: the engine never Picks with up == 0
 }
 
 // JoinShortestQueue routes each job to the server with the fewest jobs in

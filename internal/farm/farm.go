@@ -6,19 +6,21 @@
 // performance table via the per-server stepping primitives exported by
 // internal/eventsim.
 //
-// The farm multiplexes all servers on one deterministic clock: every event
-// (the globally earliest completion, or the next arrival) advances every
-// server by the same dt, and servers are visited in index order — no map
-// iteration, no goroutines — so a run is bit-reproducible from its seed.
-// Replication sweeps run through internal/runner with index-ordered
-// reduction, keeping aggregate results bit-identical at any parallelism.
+// One event engine drives every farm run: SimulateSharded. Each server
+// keeps a lazy local clock inside an eventsim.Group and advances only at
+// its own events, so an event costs O(log N) instead of a sweep over the
+// fleet; servers that learn their rates online are also brought to every
+// placement instant before the dispatcher probes them (DESIGN.md, "One
+// farm engine"). A run is a deterministic function of (specs, dispatcher,
+// workload, Config), byte-identical at any ShardConfig. Replication
+// sweeps run through internal/runner with index-ordered reduction,
+// keeping aggregate results bit-identical at any parallelism.
 //
-// With one server the farm event loop reduces exactly to the single-server
-// experiments: Simulate over a farm of one reproduces eventsim.Latency bit
-// for bit (same RNG streams, same event arithmetic), which is pinned by a
-// test. With interference disabled (perfdb.UniformModel) and exponential
-// sizes it reduces to an M/M/K queue and is cross-validated against the
-// Erlang-C analytics in internal/queueing.
+// With one server the farm reduces to the single-server experiments: a
+// farm of one agrees with eventsim.Latency to float rounding, which is
+// pinned by a test. With interference disabled (perfdb.UniformModel) and
+// exponential sizes it reduces to an M/M/K queue and is cross-validated
+// against the Erlang-C analytics in internal/queueing.
 package farm
 
 import (
@@ -51,8 +53,8 @@ type ServerSpec struct {
 	// Estimator, when set, builds a fresh online estimator per simulation.
 	// The server feeds it ground-truth interval measurements and exposes
 	// it to symbiosis-aware dispatchers in place of the oracle table. The
-	// seed is derived by Simulate from the run's seed and the server
-	// index, so replications learn on independent streams.
+	// seed is derived from the run's seed and the server index, so
+	// replications learn on independent streams.
 	Estimator func(seed uint64) (online.Estimator, error)
 }
 
@@ -106,7 +108,7 @@ type Config struct {
 	// streams are seeded per server index from Seed, so the trajectory is
 	// common-random-numbers comparable across dispatchers and policies.
 	// The zero value disables injection and reproduces the fault-free
-	// engines byte-identically.
+	// engine byte-identically.
 	Faults fault.Config
 	// Metrics, when set, instruments the run (internal/metrics): server
 	// occupancy and queue integrals, scheduler memo/prune counters,
@@ -204,15 +206,15 @@ type Result struct {
 	// merged in server index order. Like the Result scalars it is
 	// byte-identical at any ShardConfig — pinned by test.
 	Metrics *metrics.Snapshot
-	// EngineStats holds engine execution counters (serial event count;
-	// sharded slab, shard-advance and merge counts). They legitimately
-	// vary with ShardConfig, which is why they are kept out of Metrics.
+	// EngineStats holds engine execution counters (slab, shard-advance
+	// and merge counts). They legitimately vary with ShardConfig, which
+	// is why they are kept out of Metrics.
 	EngineStats *metrics.Snapshot
 }
 
-// validate checks the (specs, workload, config) triple shared by the
-// serial and sharded entry points, before defaults fill the zero fields:
-// a non-finite rate, size or SLO is an error, never a default.
+// validate checks the (specs, workload, config) triple before defaults
+// fill the zero fields: a non-finite rate, size or SLO is an error, never
+// a default.
 func validate(specs []ServerSpec, w workload.Workload, cfg Config) error {
 	if len(specs) == 0 {
 		return fmt.Errorf("farm: no servers")
@@ -253,23 +255,23 @@ func validate(specs []ServerSpec, w workload.Workload, cfg Config) error {
 }
 
 // buildServers constructs one fresh server per spec — scheduler,
-// estimator wiring and all — and returns them with the farm's total
-// context count. Both Simulate and SimulateSharded build their fleets
-// here, so a server's construction (and its estimator's seed) never
-// depends on the engine driving it. The fleet is one eventsim.NewServers
-// slab; the returned pointers index into it.
-func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]*eventsim.Server, int, error) {
+// estimator wiring and all — and returns them with the indices of the
+// servers that learn their rates online (ascending) and the farm's total
+// context count. The fleet is one eventsim.NewServers slab; the returned
+// pointers index into it.
+func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]*eventsim.Server, []int, int, error) {
 	tables := make([]*perfdb.Table, len(specs))
 	scheds := make([]sched.Scheduler, len(specs))
-	var ests []online.Estimator // allocated by the first spec that learns
+	var learned []int           // indices of the servers that learn
+	var ests []online.Estimator // their estimators, parallel to learned
 	totalContexts := 0
 	for i, sp := range specs {
 		if sp.Table == nil || sp.Sched == nil {
-			return nil, 0, fmt.Errorf("farm: server %d has no table or scheduler", i)
+			return nil, nil, 0, fmt.Errorf("farm: server %d has no table or scheduler", i)
 		}
 		for _, b := range w {
 			if b < 0 || b >= len(sp.Table.Suite()) {
-				return nil, 0, fmt.Errorf("farm: job type %d outside server %d's %d-benchmark table", b, i, len(sp.Table.Suite()))
+				return nil, nil, 0, fmt.Errorf("farm: job type %d outside server %d's %d-benchmark table", b, i, len(sp.Table.Suite()))
 			}
 		}
 		rs := online.RateSource(sp.Table)
@@ -278,16 +280,13 @@ func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]*event
 			// so (replication, server) pairs learn on independent streams.
 			est, err := sp.Estimator(cfg.Seed + uint64(i+1)*0x9e3779b97f4a7c15)
 			if err != nil {
-				return nil, 0, fmt.Errorf("farm: server %d estimator: %w", i, err)
+				return nil, nil, 0, fmt.Errorf("farm: server %d estimator: %w", i, err)
 			}
-			if ests == nil {
-				ests = make([]online.Estimator, len(specs))
-			}
-			ests[i], rs = est, est
+			learned, ests, rs = append(learned, i), append(ests, est), est
 		}
 		s, err := sp.Sched(rs)
 		if err != nil {
-			return nil, 0, fmt.Errorf("farm: server %d scheduler: %w", i, err)
+			return nil, nil, 0, fmt.Errorf("farm: server %d scheduler: %w", i, err)
 		}
 		tables[i], scheds[i] = sp.Table, s
 		totalContexts += sp.Table.K()
@@ -296,226 +295,16 @@ func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]*event
 	servers := make([]*eventsim.Server, len(fleet))
 	for i := range fleet {
 		servers[i] = &fleet[i]
-		if ests != nil && ests[i] != nil {
-			servers[i].SetRates(ests[i])
-			servers[i].SetObserver(ests[i])
-		}
 	}
-	return servers, totalContexts, nil
-}
-
-// Simulate runs one farm experiment: Poisson arrivals at cfg.Lambda over
-// workload w, routed by d over fresh servers built from specs.
-func Simulate(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg Config) (*Result, error) {
-	if err := validate(specs, w, cfg); err != nil {
-		return nil, err
+	for k, i := range learned {
+		servers[i].SetRates(ests[k])
+		servers[i].SetObserver(ests[k])
 	}
-	cfg = cfg.withDefaults()
-	servers, totalContexts, err := buildServers(specs, w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	var rm *runMetrics
-	if cfg.Metrics {
-		rm = newRunMetrics(servers)
-	}
-
-	// Three independent streams, so every dispatcher sees the same
-	// arrival process: arrivals (as eventsim.Latency), job types/sizes
-	// (as eventsim's job stream), dispatch decisions.
-	arng := stats.NewRNG(cfg.Seed)
-	drng := stats.NewRNG(cfg.Seed ^ 0xd1b54a32d192ed03)
-	jobs := eventsim.NewJobStream(w, eventsim.LatencyConfig{
-		Lambda:    cfg.Lambda,
-		Jobs:      cfg.Jobs,
-		Warmup:    cfg.Warmup,
-		JobSize:   cfg.JobSize,
-		SizeShape: cfg.SizeShape,
-		Seed:      cfg.Seed,
-	})
-
-	nextArrivalAfter := arrivalStream(cfg, arng)
-	var now float64
-	nextArrival := nextArrivalAfter(0)
-	arrivalsLeft := cfg.Jobs
-
-	var turnaround, goodput numeric.KahanSum
-	expected := cfg.Jobs - cfg.Warmup
-	if expected < 0 {
-		expected = 0 // Warmup >= Jobs: legal, just counts nothing
-	}
-	turnarounds := make([]float64, 0, expected)
-	completed, counted := 0, 0
-	fr := newFaultRun(cfg, len(servers), jobs)
-
-	// Indexed min-heap over the servers' cached next-completion times:
-	// the globally earliest completion is a peek instead of a scan over
-	// every server, and only servers whose completion horizon moved pay a
-	// sift. The heap's minimum is the exact minimum of the same cached
-	// values the former scan compared, so event times are bit-identical.
-	// (The serial loop keys the shared eventsim.TimeHeap by relative
-	// time-to-completion deltas; the sharded engine keys its per-group
-	// heaps by absolute times.)
-	h := eventsim.NewTimeHeap(len(servers))
-
-	dispatched := 0
-	dispatch := func(j *sched.Job) error {
-		up := len(servers)
-		if fr != nil {
-			// Re-issue the job's ID in dispatch order: a crash victim
-			// re-entering a queue behind younger jobs would otherwise break
-			// the schedulers' nondecreasing-ID arrival invariant. Without
-			// faults no job is ever re-placed and this is the identity.
-			j.ID = fr.seq
-			fr.seq++
-			if j.Retries > 0 {
-				fr.redispatches++
-				rm.redispatch()
-			}
-			up = fr.up
-		}
-		ti := d.Pick(j, servers, up, drng)
-		if ti < 0 || ti >= len(servers) {
-			return fmt.Errorf("farm: dispatcher %s picked server %d of %d", d.Name(), ti, len(servers))
-		}
-		servers[ti].Add(j)
-		if err := servers[ti].Reschedule(); err != nil {
-			return err
-		}
-		h.Update(ti, servers[ti].TimeToNextCompletion())
-		dispatched++
-		rm.pick(now, dispatched-completed)
-		return nil
-	}
-
-	for completed+fr.droppedJobs() < cfg.Jobs {
-		rm.event()
-		// Globally earliest completion across servers, or the earliest
-		// meta event — fault transition, retry re-arrival, fresh arrival,
-		// ties in that priority order — whichever first.
-		dt := h.Min()
-		ev := evNone
-		var evT float64
-		consider := func(t float64, kind int) {
-			if ev == evNone {
-				// First candidate against the completion horizon: the
-				// historical arrival form, so with faults disabled the
-				// selection is bit-identical to the pre-fault engine.
-				if now+dt >= t {
-					dt, ev, evT = t-now, kind, t
-				}
-			} else if t < evT {
-				// Later candidates compare absolute times, strict <: an
-				// equal-time later kind loses to the earlier-declared kind.
-				dt, ev, evT = t-now, kind, t
-			}
-		}
-		if fr != nil {
-			consider(fr.inj.Next(), evFault)
-			consider(fr.rq.Next(), evRetry)
-		}
-		if arrivalsLeft > 0 {
-			consider(nextArrival, evArrival)
-		}
-		if math.IsInf(dt, 1) {
-			break // drained: nothing running, no events left
-		}
-		if dt < 0 {
-			dt = 0
-		}
-		now += dt
-		// Advance every server on the shared clock; completions and
-		// rescheduling happen in server index order.
-		for i, sv := range servers {
-			done := sv.Advance(dt)
-			for _, j := range done {
-				completed++
-				goodput.Add(j.Size)
-				if completed > cfg.Warmup {
-					tr := now - j.Arrival
-					turnaround.Add(tr)
-					turnarounds = append(turnarounds, tr)
-					counted++
-					if fr != nil {
-						fr.retries = append(fr.retries, float64(j.Retries))
-					}
-				}
-				jobs.Recycle(j) // folded: nothing reads j again
-			}
-			if len(done) > 0 {
-				if err := sv.Reschedule(); err != nil {
-					return nil, err
-				}
-			}
-			h.Update(i, sv.TimeToNextCompletion())
-		}
-		if fr != nil && completed+fr.dropped >= cfg.Jobs {
-			// The sweep finished the run at the meta event's instant: stop
-			// before handling it so Elapsed and the fault counters agree
-			// with the sharded engine at such ties.
-			break
-		}
-		switch ev {
-		case evFault:
-			fe := fr.inj.Pop()
-			sv := servers[fe.Server]
-			if fe.Down {
-				victims := sv.Fail()
-				h.Update(fe.Server, sv.TimeToNextCompletion())
-				// Stamp the retry backoffs off the injector's absolute event
-				// time, not the accumulated clock: the sharded engine does
-				// the same, so retry due times match it exactly.
-				fr.crash(fe.T, victims, rm)
-			} else {
-				sv.Repair()
-				fr.up++
-				rm.repair()
-				if b, ok := sv.Rates().(online.EpochBumper); ok {
-					// The server was out of service: force decisions memoized
-					// over its learner to be re-derived, not served stale.
-					b.BumpEpoch()
-				}
-				// A server is back: drain the parked shelf FIFO through the
-				// normal dispatch path at the repair's instant.
-				for len(fr.parked) > 0 {
-					j := fr.parked[0]
-					copy(fr.parked, fr.parked[1:])
-					fr.parked[len(fr.parked)-1] = nil
-					fr.parked = fr.parked[:len(fr.parked)-1]
-					if err := dispatch(j); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case evRetry:
-			j := fr.rq.Pop()
-			if fr.up == 0 {
-				fr.park(j, rm)
-			} else if err := dispatch(j); err != nil {
-				return nil, err
-			}
-		case evArrival:
-			j := jobs.Next(now)
-			if fr != nil && fr.up == 0 {
-				fr.park(j, rm)
-			} else if err := dispatch(j); err != nil {
-				return nil, err
-			}
-			arrivalsLeft--
-			if arrivalsLeft > 0 {
-				nextArrival = nextArrivalAfter(now)
-			}
-		}
-	}
-	if now <= 0 {
-		return nil, fmt.Errorf("farm: experiment completed no work")
-	}
-	return assembleResult(d, servers, totalContexts, cfg, now, completed, counted, turnaround, goodput, turnarounds, fr, rm), nil
+	return servers, learned, totalContexts, nil
 }
 
 // assembleResult folds the per-server integrals and the turnaround
-// sample into a Result. It is shared by the serial and sharded engines:
-// the same Kahan fold in the same server order over the same inputs.
+// sample into a Result: a Kahan fold in server order.
 func assembleResult(d Dispatcher, servers []*eventsim.Server, totalContexts int, cfg Config, now float64, completed, counted int, turnaround, goodput numeric.KahanSum, turnarounds []float64, fr *faultRun, rm *runMetrics) *Result {
 	res := &Result{
 		Dispatcher: d.Name(),

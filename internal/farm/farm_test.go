@@ -47,11 +47,32 @@ func fcfsSpec(tab *perfdb.Table) ServerSpec {
 	return ServerSpec{Table: tab, Sched: func(online.RateSource) (sched.Scheduler, error) { return &sched.FCFS{}, nil }}
 }
 
+// learnedSpec is a MAXIT server over tab that decides on the rates the
+// named online estimator learns at run time.
+func learnedSpec(tab *perfdb.Table, estimator string) ServerSpec {
+	return ServerSpec{
+		Table:     tab,
+		Sched:     func(rs online.RateSource) (sched.Scheduler, error) { return sched.New("MAXIT", rs, w4()) },
+		Estimator: func(seed uint64) (online.Estimator, error) { return online.New(estimator, tab, seed) },
+	}
+}
+
+// fleet returns n copies of spec.
+func fleet(n int, spec ServerSpec) []ServerSpec {
+	specs := make([]ServerSpec, n)
+	for i := range specs {
+		specs[i] = spec
+	}
+	return specs
+}
+
 func w4() workload.Workload { return workload.Workload{0, 1, 2, 3} }
 
 // TestFarmOfOneReproducesEventsimLatency pins the refactoring contract:
-// a farm of one server is the single-server experiment, bit for bit —
-// same RNG streams, same event arithmetic, same accumulators.
+// a farm of one server is the single-server experiment. The lockstep
+// reference loop reproduces it bit for bit — same RNG streams, same
+// event arithmetic, same accumulators — and the engine, whose lazy clock
+// cuts the same intervals at the same events, agrees to 1e-9.
 func TestFarmOfOneReproducesEventsimLatency(t *testing.T) {
 	tab := smtTable(t)
 	for _, name := range []string{"FCFS", "MAXIT", "SRPT"} {
@@ -65,27 +86,32 @@ func TestFarmOfOneReproducesEventsimLatency(t *testing.T) {
 			t.Fatalf("%s: eventsim: %v", name, err)
 		}
 		mk := func(rs online.RateSource) (sched.Scheduler, error) { return sched.New(name, rs, w4()) }
-		farm, err := Simulate([]ServerSpec{{Table: tab, Sched: mk}}, &RoundRobin{}, w4(), Config{
-			Lambda: 1.5, Jobs: 4000, SizeShape: 4, Seed: 7,
-		})
+		specs := []ServerSpec{{Table: tab, Sched: mk}}
+		fcfg := Config{Lambda: 1.5, Jobs: 4000, SizeShape: 4, Seed: 7}
+		serial, err := simulateSerial(specs, &RoundRobin{}, w4(), fcfg)
 		if err != nil {
-			t.Fatalf("%s: farm: %v", name, err)
+			t.Fatalf("%s: reference loop: %v", name, err)
 		}
-		if farm.MeanTurnaround != single.MeanTurnaround {
-			t.Errorf("%s: farm-of-1 turnaround %v != single-server %v",
-				name, farm.MeanTurnaround, single.MeanTurnaround)
+		engine, err := SimulateSharded(specs, &RoundRobin{}, w4(), fcfg, ShardConfig{})
+		if err != nil {
+			t.Fatalf("%s: engine: %v", name, err)
 		}
-		if farm.PerServer[0].Utilisation != single.Utilisation {
-			t.Errorf("%s: farm-of-1 utilisation %v != single-server %v",
-				name, farm.PerServer[0].Utilisation, single.Utilisation)
-		}
-		if farm.EmptyFraction != single.EmptyFraction {
-			t.Errorf("%s: farm-of-1 empty fraction %v != single-server %v",
-				name, farm.EmptyFraction, single.EmptyFraction)
-		}
-		if farm.Throughput != single.Throughput {
-			t.Errorf("%s: farm-of-1 throughput %v != single-server %v",
-				name, farm.Throughput, single.Throughput)
+		for _, c := range []struct {
+			stat           string
+			serial, engine float64
+			want           float64
+		}{
+			{"turnaround", serial.MeanTurnaround, engine.MeanTurnaround, single.MeanTurnaround},
+			{"utilisation", serial.PerServer[0].Utilisation, engine.PerServer[0].Utilisation, single.Utilisation},
+			{"empty fraction", serial.EmptyFraction, engine.EmptyFraction, single.EmptyFraction},
+			{"throughput", serial.Throughput, engine.Throughput, single.Throughput},
+		} {
+			if c.serial != c.want {
+				t.Errorf("%s: reference farm-of-1 %s %v != single-server %v", name, c.stat, c.serial, c.want)
+			}
+			if relErr(c.engine, c.want) > 1e-9 {
+				t.Errorf("%s: engine farm-of-1 %s %v diverges from single-server %v", name, c.stat, c.engine, c.want)
+			}
 		}
 	}
 }
@@ -151,7 +177,7 @@ func TestSimulateDeterministicRepeat(t *testing.T) {
 	specs := []ServerSpec{fcfsSpec(tab), fcfsSpec(tab)}
 	run := func() *Result {
 		d, _ := NewDispatcher("random")
-		res, err := Simulate(specs, d, w4(), Config{Lambda: 2.0, Jobs: 3000, SizeShape: 4, Seed: 5})
+		res, err := SimulateSharded(specs, d, w4(), Config{Lambda: 2.0, Jobs: 3000, SizeShape: 4, Seed: 5}, ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,8 +196,8 @@ func TestSimulateDeterministicRepeat(t *testing.T) {
 func TestWarmupExceedsJobs(t *testing.T) {
 	tab := uniformTable(1)
 	d, _ := NewDispatcher("rr")
-	res, err := Simulate([]ServerSpec{fcfsSpec(tab)}, d, workload.Workload{0},
-		Config{Lambda: 0.5, Jobs: 50, Warmup: 100, SizeShape: 1})
+	res, err := SimulateSharded([]ServerSpec{fcfsSpec(tab)}, d, workload.Workload{0},
+		Config{Lambda: 0.5, Jobs: 50, Warmup: 100, SizeShape: 1}, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +219,7 @@ func TestDispatchersRouteSensibly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Simulate(specs, d, w4(), Config{Lambda: 2.0, Jobs: 4000, SizeShape: 4, Seed: 2})
+		res, err := SimulateSharded(specs, d, w4(), Config{Lambda: 2.0, Jobs: 4000, SizeShape: 4, Seed: 2}, ShardConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -295,7 +321,7 @@ func TestHeterogeneousFarm(t *testing.T) {
 	uni4 := perfdb.Build(perfdb.UniformModel{K: 4}, program.Suite()[:4])
 	specs := []ServerSpec{fcfsSpec(smtTable(t)), fcfsSpec(uni4)}
 	d, _ := NewDispatcher("li")
-	res, err := Simulate(specs, d, w4(), Config{Lambda: 3.0, Jobs: 4000, SizeShape: 4, Seed: 4})
+	res, err := SimulateSharded(specs, d, w4(), Config{Lambda: 3.0, Jobs: 4000, SizeShape: 4, Seed: 4}, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,18 +339,11 @@ func TestHeterogeneousFarm(t *testing.T) {
 // and stay deterministic per seed.
 func TestOnlineFarm(t *testing.T) {
 	tab := smtTable(t)
-	spec := func() ServerSpec {
-		return ServerSpec{
-			Table:     tab,
-			Sched:     func(rs online.RateSource) (sched.Scheduler, error) { return sched.New("MAXIT", rs, w4()) },
-			Estimator: func(seed uint64) (online.Estimator, error) { return online.New("sampler", tab, seed) },
-		}
-	}
 	run := func() *Result {
 		d, _ := NewDispatcher("li")
-		res, err := Simulate([]ServerSpec{spec(), spec()}, d, w4(), Config{
+		res, err := SimulateSharded(fleet(2, learnedSpec(tab, "sampler")), d, w4(), Config{
 			Lambda: 2.5, Jobs: 3000, SizeShape: 4, Seed: 6,
-		})
+		}, ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,9 +368,9 @@ func TestOnlineFarm(t *testing.T) {
 func TestResultQuantilesOrdered(t *testing.T) {
 	tab := smtTable(t)
 	d, _ := NewDispatcher("rr")
-	res, err := Simulate([]ServerSpec{fcfsSpec(tab)}, d, w4(), Config{
+	res, err := SimulateSharded([]ServerSpec{fcfsSpec(tab)}, d, w4(), Config{
 		Lambda: 2.0, Jobs: 4000, SizeShape: 4, Seed: 8,
-	})
+	}, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,8 +404,8 @@ func TestJSQBeatsRandomNearSaturation(t *testing.T) {
 }
 
 // TestNonFiniteConfigRejected pins that a non-finite rate, job size, SLO
-// or schedule phase, or a negative size shape, is an error from both farm
-// engines and from eventsim.Latency — never a panic (an infinite mean
+// or schedule phase, or a negative size shape, is an error from the farm
+// engine and from eventsim.Latency — never a panic (an infinite mean
 // size used to reach stats.Exp with rate 0), a silent empty result, or a
 // run on NaN arithmetic.
 func TestNonFiniteConfigRejected(t *testing.T) {
@@ -413,9 +432,6 @@ func TestNonFiniteConfigRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc.cfg.Jobs, tc.cfg.Seed = 100, 1
-		if _, err := Simulate(specs, &RoundRobin{}, w4(), tc.cfg); err == nil {
-			t.Errorf("%s: Simulate returned no error", tc.desc)
-		}
 		if _, err := SimulateSharded(specs, &RoundRobin{}, w4(), tc.cfg, ShardConfig{Shards: 2, Workers: 1}); err == nil {
 			t.Errorf("%s: SimulateSharded returned no error", tc.desc)
 		}

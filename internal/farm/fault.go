@@ -7,13 +7,13 @@ import (
 	"symbiosched/internal/sched"
 )
 
-// Meta-event kinds of the engines' event selection: at most one fires
-// per loop iteration, and equal-time ties resolve in declaration order
-// — fault transitions first (a crash at an arrival's instant evicts
-// before the arrival is placed; a repair re-opens the server to a
-// same-instant retry), then retry re-arrivals, then fresh arrivals.
-// Completions are not meta events: both engines process every
-// completion up to the meta event's time before handling it.
+// Meta-event kinds of the engine's event selection: at most one fires
+// per slab, and equal-time ties resolve in declaration order — fault
+// transitions first (a crash at an arrival's instant evicts before the
+// arrival is placed; a repair re-opens the server to a same-instant
+// retry), then retry re-arrivals, then fresh arrivals. Completions are
+// not meta events: the engine processes every completion up to the
+// meta event's time before handling it.
 const (
 	evNone = iota
 	evFault
@@ -21,11 +21,11 @@ const (
 	evArrival
 )
 
-// faultRun is one simulation's fault-injection state, shared verbatim
-// by the serial and sharded engines so the two apply byte-identical
-// policy to the same fault trajectory. A nil *faultRun is the disabled
-// state: the engines' fault hooks vanish and their event selection
-// reduces exactly to the historical completion-vs-arrival race.
+// faultRun is one simulation's fault-injection state: the fault
+// trajectory, the retry queue, the parked shelf and the policy applied
+// to them. A nil *faultRun is the disabled state: the engine's fault
+// hooks vanish and its event selection reduces exactly to the
+// completion-vs-arrival race.
 type faultRun struct {
 	cfg  fault.Config // with defaults applied
 	inj  *fault.Injector
@@ -74,7 +74,7 @@ func newFaultRun(cfg Config, n int, jobs *eventsim.JobStream) *faultRun {
 	}
 }
 
-// droppedJobs is fr.dropped, nil-safe: the engines' termination
+// droppedJobs is fr.dropped, nil-safe: the engine's termination
 // condition counts completed + dropped against cfg.Jobs.
 func (fr *faultRun) droppedJobs() int {
 	if fr == nil {

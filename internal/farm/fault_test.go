@@ -19,7 +19,7 @@ func faultCfg() fault.Config {
 
 // TestFaultDisabledReproducesBaseline pins the zero-cost contract: a
 // fault config with MTBF 0 — whatever the other fields say — is
-// disabled, and both engines reproduce the no-fault run byte for byte.
+// disabled, and the engine reproduces the no-fault run byte for byte.
 func TestFaultDisabledReproducesBaseline(t *testing.T) {
 	tab := smtTable(t)
 	specs := []ServerSpec{fcfsSpec(tab), fcfsSpec(tab), fcfsSpec(tab)}
@@ -28,30 +28,17 @@ func TestFaultDisabledReproducesBaseline(t *testing.T) {
 	off.Faults = fault.Config{MTTR: 9, MaxRetries: 2, RetryDelay: 1, Checkpoint: fault.Resume}
 	for _, disp := range []string{"li", "pd2", "rr"} {
 		d1, _ := NewDispatcher(disp)
-		base, err := Simulate(specs, d1, w4(), cfg)
+		base, err := SimulateSharded(specs, d1, w4(), cfg, ShardConfig{Shards: 3, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		d2, _ := NewDispatcher(disp)
-		disabled, err := Simulate(specs, d2, w4(), off)
+		disabled, err := SimulateSharded(specs, d2, w4(), off, ShardConfig{Shards: 3, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a, b := fmt.Sprintf("%+v", base), fmt.Sprintf("%+v", disabled); a != b {
-			t.Errorf("%s: MTBF=0 serial run differs from baseline:\n%s\nvs\n%s", disp, a, b)
-		}
-		d3, _ := NewDispatcher(disp)
-		sbase, err := SimulateSharded(specs, d3, w4(), cfg, ShardConfig{Shards: 3, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d4, _ := NewDispatcher(disp)
-		sdis, err := SimulateSharded(specs, d4, w4(), off, ShardConfig{Shards: 3, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, b := fmt.Sprintf("%+v", sbase), fmt.Sprintf("%+v", sdis); a != b {
-			t.Errorf("%s: MTBF=0 sharded run differs from baseline:\n%s\nvs\n%s", disp, a, b)
+			t.Errorf("%s: MTBF=0 run differs from baseline:\n%s\nvs\n%s", disp, a, b)
 		}
 		if base.Availability != 1 || base.Goodput <= 0 {
 			t.Errorf("%s: fault-free availability %v goodput %v, want 1 and > 0",
@@ -60,70 +47,22 @@ func TestFaultDisabledReproducesBaseline(t *testing.T) {
 	}
 }
 
-// TestFaultSerialMatchesSharded cross-validates the engines under
-// injection: same fault trajectory (CRN per server index), same policy,
-// so the integer fault accounting must agree exactly and the float
-// metrics to tight tolerance — for every dispatcher and both checkpoint
-// policies.
+// TestFaultSerialMatchesSharded cross-validates the engine against the
+// reference loop under injection: same fault trajectory (CRN per server
+// index), same policy, so the integer fault accounting must agree
+// exactly and the float metrics to 1e-9 — for every dispatcher and both
+// checkpoint policies.
 func TestFaultSerialMatchesSharded(t *testing.T) {
 	tab := smtTable(t)
-	specs := []ServerSpec{fcfsSpec(tab), fcfsSpec(tab), fcfsSpec(tab), fcfsSpec(tab), fcfsSpec(tab)}
 	for _, disp := range []string{"random", "rr", "jsq", "li", "pd2"} {
 		for _, cp := range fault.Policies {
 			cfg := Config{Lambda: 6.0, Jobs: 3000, SizeShape: 4, Seed: 11}
 			cfg.Faults = faultCfg()
 			cfg.Faults.Checkpoint = cp
-			d1, _ := NewDispatcher(disp)
-			serial, err := Simulate(specs, d1, w4(), cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: serial: %v", disp, cp, err)
-			}
-			d2, _ := NewDispatcher(disp)
-			sharded, err := SimulateSharded(specs, d2, w4(), cfg, ShardConfig{Shards: 3, Workers: 2})
-			if err != nil {
-				t.Fatalf("%s/%s: sharded: %v", disp, cp, err)
-			}
-			if serial.Redispatches == 0 {
-				t.Errorf("%s/%s: no redispatches — faults not exercised", disp, cp)
-			}
-			ints := []struct {
-				name      string
-				got, want int
-			}{
-				{"completed", sharded.Completed, serial.Completed},
-				{"counted", sharded.Counted, serial.Counted},
-				{"redispatches", sharded.Redispatches, serial.Redispatches},
-				{"dropped", sharded.Dropped, serial.Dropped},
-				{"parked", sharded.Parked, serial.Parked},
-			}
-			for _, c := range ints {
-				if c.got != c.want {
-					t.Errorf("%s/%s: %s differs: sharded %d vs serial %d", disp, cp, c.name, c.got, c.want)
-				}
-			}
-			floats := []struct {
-				name      string
-				got, want float64
-			}{
-				{"mean turnaround", sharded.MeanTurnaround, serial.MeanTurnaround},
-				{"availability", sharded.Availability, serial.Availability},
-				{"goodput", sharded.Goodput, serial.Goodput},
-				{"wasted work", sharded.WastedWork, serial.WastedWork},
-				{"retry p50", sharded.RetryP50, serial.RetryP50},
-				{"retry p99", sharded.RetryP99, serial.RetryP99},
-				{"elapsed", sharded.Elapsed, serial.Elapsed},
-				{"throughput", sharded.Throughput, serial.Throughput},
-			}
-			for _, c := range floats {
-				if relErr(c.got, c.want) > 1e-9 {
-					t.Errorf("%s/%s: %s diverges: sharded %v vs serial %v", disp, cp, c.name, c.got, c.want)
-				}
-			}
-			for i := range serial.PerServer {
-				if sharded.PerServer[i].Dispatched != serial.PerServer[i].Dispatched {
-					t.Errorf("%s/%s: server %d dispatched %d (sharded) vs %d (serial)",
-						disp, cp, i, sharded.PerServer[i].Dispatched, serial.PerServer[i].Dispatched)
-				}
+			desc := fmt.Sprintf("%s/%s", disp, cp)
+			res := crossCheck(t, desc, fleet(5, fcfsSpec(tab)), disp, w4(), cfg, ShardConfig{Shards: 3, Workers: 2})
+			if res.Redispatches == 0 {
+				t.Errorf("%s: no redispatches — faults not exercised", desc)
 			}
 		}
 	}
@@ -177,7 +116,7 @@ func TestFaultAccountingInvariants(t *testing.T) {
 	cfg := Config{Lambda: 4.0, Jobs: 4000, SizeShape: 4, Seed: 29}
 	cfg.Faults = faultCfg()
 	d, _ := NewDispatcher("li")
-	res, err := Simulate(specs, d, w4(), cfg)
+	res, err := SimulateSharded(specs, d, w4(), cfg, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +149,7 @@ func TestFaultResumeWastesLessThanRestart(t *testing.T) {
 		cfg.Faults = faultCfg()
 		cfg.Faults.Checkpoint = cp
 		d, _ := NewDispatcher("li")
-		res, err := Simulate(specs, d, w4(), cfg)
+		res, err := SimulateSharded(specs, d, w4(), cfg, ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,30 +167,18 @@ func TestFaultResumeWastesLessThanRestart(t *testing.T) {
 
 // TestFaultAllDownParksArrivals drives a one-server farm through
 // outages: every arrival during an outage must park (never a Pick over
-// zero up servers) and drain at the repair, with nothing lost.
+// zero up servers) and drain at the repair, with nothing lost, exactly
+// as the reference loop parks and drains.
 func TestFaultAllDownParksArrivals(t *testing.T) {
 	tab := uniformTable(1)
 	cfg := Config{Lambda: 2.0, Jobs: 1500, SizeShape: 1, Seed: 3}
 	cfg.Faults = fault.Config{MTBF: 10, MTTR: 4, MaxRetries: 8, RetryDelay: 0.1, Checkpoint: fault.Resume}
-	d, _ := NewDispatcher("rr")
-	serial, err := Simulate([]ServerSpec{fcfsSpec(tab)}, d, w4()[:1], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Parked == 0 {
+	res := crossCheck(t, "one server", []ServerSpec{fcfsSpec(tab)}, "rr", w4()[:1], cfg, ShardConfig{Shards: 1, Workers: 1, Slab: 0.5})
+	if res.Parked == 0 {
 		t.Error("one-server farm with outages parked nothing")
 	}
-	if serial.Completed+serial.Dropped != cfg.Jobs {
-		t.Errorf("completed %d + dropped %d != jobs %d", serial.Completed, serial.Dropped, cfg.Jobs)
-	}
-	d2, _ := NewDispatcher("rr")
-	sharded, err := SimulateSharded([]ServerSpec{fcfsSpec(tab)}, d2, w4()[:1], cfg, ShardConfig{Shards: 1, Workers: 1, Slab: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Parked != serial.Parked || sharded.Dropped != serial.Dropped || sharded.Completed != serial.Completed {
-		t.Errorf("engines disagree: sharded parked/dropped/completed %d/%d/%d vs serial %d/%d/%d",
-			sharded.Parked, sharded.Dropped, sharded.Completed, serial.Parked, serial.Dropped, serial.Completed)
+	if res.Completed+res.Dropped != cfg.Jobs {
+		t.Errorf("completed %d + dropped %d != jobs %d", res.Completed, res.Dropped, cfg.Jobs)
 	}
 }
 
@@ -264,7 +191,7 @@ func TestFaultRetryCapDrops(t *testing.T) {
 	cfg := Config{Lambda: 3.0, Jobs: 2000, SizeShape: 4, Seed: 23}
 	cfg.Faults = fault.Config{MTBF: 20, MTTR: 2, MaxRetries: 0, RetryDelay: 0.5}
 	d, _ := NewDispatcher("jsq")
-	res, err := Simulate(specs, d, w4(), cfg)
+	res, err := SimulateSharded(specs, d, w4(), cfg, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,18 +210,15 @@ func TestFaultRetryCapDrops(t *testing.T) {
 	}
 }
 
-// TestFaultInvalidConfigRejected checks that both engines reject a bad
-// fault config up front, as a typed fault.ConfigError.
+// TestFaultInvalidConfigRejected checks that the engine rejects a bad
+// fault config up front.
 func TestFaultInvalidConfigRejected(t *testing.T) {
 	tab := uniformTable(1)
 	cfg := Config{Lambda: 1.0, Jobs: 10, SizeShape: 1}
 	cfg.Faults = fault.Config{MTBF: 5} // MTTR missing
 	d, _ := NewDispatcher("rr")
-	if _, err := Simulate([]ServerSpec{fcfsSpec(tab)}, d, w4()[:1], cfg); err == nil {
-		t.Error("serial engine accepted MTBF > 0 with MTTR 0")
-	}
 	if _, err := SimulateSharded([]ServerSpec{fcfsSpec(tab)}, d, w4()[:1], cfg, ShardConfig{}); err == nil {
-		t.Error("sharded engine accepted MTBF > 0 with MTTR 0")
+		t.Error("engine accepted MTBF > 0 with MTTR 0")
 	}
 }
 
@@ -328,12 +252,12 @@ func TestFaultEpochBumpOnRepair(t *testing.T) {
 	cfg := Config{Lambda: 2.5, Jobs: 1200, SizeShape: 4, Seed: 31}
 	cfg.Faults = faultCfg()
 	d1, _ := NewDispatcher("li")
-	a, err := Simulate(specs, d1, w4(), cfg)
+	a, err := SimulateSharded(specs, d1, w4(), cfg, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2, _ := NewDispatcher("li")
-	b, err := Simulate(specs, d2, w4(), cfg)
+	b, err := SimulateSharded(specs, d2, w4(), cfg, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,18 +270,22 @@ func TestFaultEpochBumpOnRepair(t *testing.T) {
 }
 
 // FuzzFaultInterleavings fuzzes failure/repair interleavings against
-// the serial engine: random fault rates, slab geometries (crashes
-// landing on slab boundaries) and checkpoint policies, asserting the
-// exact integer accounting and tight float agreement between engines —
-// plus worker-count bit-identity within the sharded engine.
+// the reference loop: random fault rates, slab geometries (crashes
+// landing on slab boundaries), checkpoint policies and oracle or
+// pairwise-learned fleets, asserting the exact integer accounting and
+// tight float agreement — plus worker-count bit-identity within the
+// engine.
 func FuzzFaultInterleavings(f *testing.F) {
-	f.Add(uint64(1), uint8(20), uint8(4), uint16(0), uint8(2), false)
-	f.Add(uint64(7), uint8(5), uint8(2), uint16(250), uint8(3), true)
-	f.Add(uint64(42), uint8(60), uint8(10), uint16(10), uint8(5), false)
-	f.Add(uint64(9000), uint8(1), uint8(1), uint16(65535), uint8(1), true)
-	f.Fuzz(func(t *testing.T, seed uint64, mtbfQ, mttrQ uint8, slabMilli uint16, shards uint8, resume bool) {
+	f.Add(uint64(1), uint8(20), uint8(4), uint16(0), uint8(2), false, false)
+	f.Add(uint64(7), uint8(5), uint8(2), uint16(250), uint8(3), true, true)
+	f.Add(uint64(42), uint8(60), uint8(10), uint16(10), uint8(5), false, true)
+	f.Add(uint64(9000), uint8(1), uint8(1), uint16(65535), uint8(1), true, false)
+	f.Fuzz(func(t *testing.T, seed uint64, mtbfQ, mttrQ uint8, slabMilli uint16, shards uint8, resume, learned bool) {
 		tab := smtTable(t)
-		specs := []ServerSpec{fcfsSpec(tab), fcfsSpec(tab), fcfsSpec(tab), fcfsSpec(tab)}
+		specs := fleet(4, fcfsSpec(tab))
+		if learned {
+			specs = fleet(4, learnedSpec(tab, "pairwise"))
+		}
 		cfg := Config{Lambda: 5.0, Jobs: 500, SizeShape: 4, Seed: seed%1024 + 1}
 		cfg.Faults = fault.Config{
 			MTBF:       float64(mtbfQ%100) + 0.5,
@@ -369,12 +297,12 @@ func FuzzFaultInterleavings(f *testing.F) {
 			cfg.Faults.Checkpoint = fault.Resume
 		}
 		d1, _ := NewDispatcher("li")
-		serial, err := Simulate(specs, d1, w4(), cfg)
+		serial, err := simulateSerial(specs, d1, w4(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if serial.Completed+serial.Dropped != cfg.Jobs {
-			t.Fatalf("serial: completed %d + dropped %d != jobs %d", serial.Completed, serial.Dropped, cfg.Jobs)
+			t.Fatalf("reference: completed %d + dropped %d != jobs %d", serial.Completed, serial.Dropped, cfg.Jobs)
 		}
 		sc := ShardConfig{Shards: int(shards%6) + 1, Workers: 1, Slab: float64(slabMilli) / 1000}
 		d2, _ := NewDispatcher("li")
@@ -385,14 +313,14 @@ func FuzzFaultInterleavings(f *testing.F) {
 		if sharded.Completed != serial.Completed || sharded.Counted != serial.Counted ||
 			sharded.Redispatches != serial.Redispatches || sharded.Dropped != serial.Dropped ||
 			sharded.Parked != serial.Parked {
-			t.Fatalf("fault accounting diverges:\nsharded %+v\nserial  %+v", sharded, serial)
+			t.Fatalf("fault accounting diverges:\nengine    %+v\nreference %+v", sharded, serial)
 		}
 		if relErr(sharded.MeanTurnaround, serial.MeanTurnaround) > 1e-6 ||
 			relErr(sharded.Availability, serial.Availability) > 1e-6 ||
 			relErr(sharded.Goodput, serial.Goodput) > 1e-6 ||
 			relErr(sharded.WastedWork, serial.WastedWork) > 1e-6 ||
 			relErr(sharded.Elapsed, serial.Elapsed) > 1e-6 {
-			t.Fatalf("fault metrics diverge:\nsharded %+v\nserial  %+v", sharded, serial)
+			t.Fatalf("fault metrics diverge:\nengine    %+v\nreference %+v", sharded, serial)
 		}
 		d3, _ := NewDispatcher("li")
 		wide, err := SimulateSharded(specs, d3, w4(), cfg, ShardConfig{

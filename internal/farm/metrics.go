@@ -9,10 +9,10 @@ import (
 
 // runMetrics is one simulation's instrumentation bundle, built when
 // Config.Metrics is set. A nil *runMetrics is the disabled state: every
-// hook method is a nil-receiver no-op, so the engines stay on their
-// uninstrumented paths.
+// hook method is a nil-receiver no-op, so the engine stays on its
+// uninstrumented path.
 //
-// Ownership mirrors the engines' concurrency: each server gets its own
+// Ownership mirrors the engine's concurrency: each server gets its own
 // collector (shards advance servers concurrently, but one server is only
 // ever touched by one goroutine), while the dispatch and engine
 // collectors are only touched in the single-threaded coordinator
@@ -28,10 +28,9 @@ type runMetrics struct {
 	qlen       *metrics.Series
 
 	engine *metrics.Collector
-	events *metrics.Counter // serial: event-loop iterations
-	slabs  *metrics.Counter // sharded: slabs run
-	shards *metrics.Counter // sharded: shard-advance calls (sum of active set sizes)
-	merged *metrics.Counter // sharded: completions k-way merged
+	slabs  *metrics.Counter // slabs run
+	shards *metrics.Counter // shard-advance calls (sum of active set sizes)
+	merged *metrics.Counter // completions k-way merged
 
 	// Fault-injection instruments, on the dispatch collector (fault
 	// transitions and re-dispatch both run in the single-threaded
@@ -54,7 +53,6 @@ func newRunMetrics(servers []*eventsim.Server) *runMetrics {
 	rm.repairs = rm.dispatch.Counter("fault_repairs")
 	rm.redispatches = rm.dispatch.Counter("fault_redispatches")
 	rm.parks = rm.dispatch.Counter("fault_parked")
-	rm.events = rm.engine.Counter("engine_events")
 	rm.slabs = rm.engine.Counter("engine_slabs")
 	rm.shards = rm.engine.Counter("engine_shard_advances")
 	rm.merged = rm.engine.Counter("engine_merged_completions")
@@ -78,14 +76,7 @@ func (rm *runMetrics) pick(t float64, inSystem int) {
 	}
 }
 
-// event counts one serial event-loop iteration.
-func (rm *runMetrics) event() {
-	if rm != nil {
-		rm.events.Inc()
-	}
-}
-
-// slab records one sharded synchronisation slab: the slab itself, how
+// slab records one synchronisation slab: the slab itself, how
 // many shards were active in it, and how many completions its merge
 // folded.
 func (rm *runMetrics) slab(active, mergedComps int) {

@@ -35,12 +35,12 @@ func TestPDFullProbeMatchesLI(t *testing.T) {
 		for _, seed := range []uint64{3, 23, 101} {
 			for _, load := range []float64{2.0, 4.5} {
 				cfg := Config{Lambda: load, Jobs: 2000, SizeShape: 4, Seed: seed}
-				li, err := Simulate(specs, &LeastInterference{}, w4(), cfg)
+				li, err := SimulateSharded(specs, &LeastInterference{}, w4(), cfg, ShardConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, d := range []int{len(specs), len(specs) + 3} {
-					pd, err := Simulate(specs, &PowerOfD{D: d}, w4(), cfg)
+					pd, err := SimulateSharded(specs, &PowerOfD{D: d}, w4(), cfg, ShardConfig{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -61,11 +61,11 @@ func TestPDOneMatchesRandom(t *testing.T) {
 		for _, seed := range []uint64{3, 23, 101} {
 			for _, load := range []float64{2.0, 4.5} {
 				cfg := Config{Lambda: load, Jobs: 2000, SizeShape: 4, Seed: seed}
-				rnd, err := Simulate(specs, Random{}, w4(), cfg)
+				rnd, err := SimulateSharded(specs, Random{}, w4(), cfg, ShardConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				pd, err := Simulate(specs, &PowerOfD{D: 1}, w4(), cfg)
+				pd, err := SimulateSharded(specs, &PowerOfD{D: 1}, w4(), cfg, ShardConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +80,7 @@ func TestPDOneMatchesRandom(t *testing.T) {
 // TestPDProbeSetProperties checks the sampled probe sets directly:
 // in-range, duplicate-free (strictly increasing, since sample keeps them
 // sorted), exactly d indices, and replayable from the seed alone — two
-// generators derived the way Simulate derives the dispatch stream yield
+// generators derived the way the engine derives the dispatch stream yield
 // identical probe sequences.
 func TestPDProbeSetProperties(t *testing.T) {
 	const n = 23
@@ -91,7 +91,7 @@ func TestPDProbeSetProperties(t *testing.T) {
 		servers[i] = new(eventsim.Server)
 	}
 	for _, seed := range []uint64{1, 9, 77} {
-		// The dispatch stream as Simulate derives it from the run seed.
+		// The dispatch stream as the engine derives it from the run seed.
 		ra := stats.NewRNG(seed ^ 0xd1b54a32d192ed03)
 		rb := stats.NewRNG(seed ^ 0xd1b54a32d192ed03)
 		pa := &PowerOfD{D: 4}

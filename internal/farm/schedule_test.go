@@ -21,7 +21,7 @@ func TestScheduleValidation(t *testing.T) {
 	for _, tc := range bad {
 		cfg := base
 		cfg.Schedule = tc.phase
-		if _, err := Simulate([]ServerSpec{fcfsSpec(tab)}, &RoundRobin{}, w4()[:1], cfg); err == nil {
+		if _, err := SimulateSharded([]ServerSpec{fcfsSpec(tab)}, &RoundRobin{}, w4()[:1], cfg, ShardConfig{}); err == nil {
 			t.Errorf("%s: schedule accepted", tc.name)
 		}
 	}
@@ -82,7 +82,7 @@ func TestSLOAttainment(t *testing.T) {
 	specs := []ServerSpec{fcfsSpec(tab), fcfsSpec(tab)}
 	w := w4()[:1]
 	base := Config{Lambda: 2.5, Jobs: 4000, Seed: 3, SizeShape: 1}
-	ref, err := Simulate(specs, JoinShortestQueue{}, w, base)
+	ref, err := SimulateSharded(specs, JoinShortestQueue{}, w, base, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSLOAttainment(t *testing.T) {
 	at := func(slo float64) float64 {
 		cfg := base
 		cfg.SLO = slo
-		r, err := Simulate(specs, JoinShortestQueue{}, w, cfg)
+		r, err := SimulateSharded(specs, JoinShortestQueue{}, w, cfg, ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

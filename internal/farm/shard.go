@@ -13,10 +13,11 @@ import (
 	"symbiosched/internal/workload"
 )
 
-// ShardConfig parameterises the sharded farm engine. Every field is a
-// pure execution knob: SimulateSharded's Result is byte-identical for
-// any combination of Shards, Workers and Slab — the engine's output
-// depends only on (specs, dispatcher, workload, Config).
+// ShardConfig parameterises the farm engine's execution. Every field is a
+// pure execution knob, and zero selects the engine default:
+// SimulateSharded's Result is byte-identical for any combination of
+// Shards, Workers and Slab — the engine's output depends only on (specs,
+// dispatcher, workload, Config).
 type ShardConfig struct {
 	// Shards is the number of contiguous server partitions advanced
 	// independently between synchronization points (default 8, clamped
@@ -66,13 +67,15 @@ const (
 	autoSlabWindow = 8192.0
 )
 
-// SimulateSharded runs one farm experiment on the sharded engine: the
-// servers are partitioned into contiguous shards, each wrapped in an
-// eventsim.Group with lazy per-server clocks, and the shards advance in
-// parallel to a common horizon per time slab. A slab's horizon is the
-// next arrival (so every dispatch decision happens at its exact time,
-// with every completion up to it already applied — the serial tie rule),
-// optionally capped by sc.Slab.
+// SimulateSharded runs one farm experiment: Poisson arrivals at
+// cfg.Lambda over workload w, routed by d over fresh servers built from
+// specs. It is the farm's only event engine. The servers are partitioned
+// into contiguous shards, each wrapped in an eventsim.Group with lazy
+// per-server clocks, and the shards advance in parallel to a common
+// horizon per time slab. A slab's horizon is the next meta event —
+// arrival, retry re-arrival or fault transition — so every dispatch
+// decision happens at its exact time with every completion up to it
+// already applied, optionally capped by sc.Slab.
 //
 // Determinism does not come from lockstep advancement but from three
 // ordering rules (see DESIGN.md, "Time-slab determinism"): each server
@@ -81,11 +84,19 @@ const (
 // server index) order; and the coordinator merges shard completion lists
 // back into one global (time, server index) order before folding the
 // turnaround statistics. The Result is therefore byte-identical at any
-// Shards/Workers/Slab setting. Against the serial Simulate the advance
-// partitioning differs, so results agree only to float tolerance — the
-// serial engine remains the golden reference for the lockstep contract.
+// Shards/Workers/Slab setting.
 //
-// Complexity per event is O(log n_shard) instead of the serial engine's
+// One more rule makes learned servers see what a lockstep clock would
+// show them (DESIGN.md, "One farm engine"): before every placement —
+// fresh arrival, retry re-arrival or park drain — each server whose spec
+// has an Estimator is settled to the placement instant, in server index
+// order, so the dispatcher probes learners that have measured every
+// interval up to now. Oracle servers are never touched: their state is
+// constant between their own events. The rule costs O(learned servers)
+// per placement, and results agree with a lockstep loop to float
+// rounding (pinned by test against a reference loop).
+//
+// Complexity per event is O(log n_shard) instead of a lockstep loop's
 // O(N) advance sweep, which is what makes 100k-server farms feasible.
 // The coordination layer is built not to get in that path's way: slabs
 // are fed to a persistent worker pool through an epoch barrier (no
@@ -97,7 +108,7 @@ func SimulateSharded(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg 
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	servers, totalContexts, err := buildServers(specs, w, cfg)
+	servers, learned, totalContexts, err := buildServers(specs, w, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -129,8 +140,9 @@ func SimulateSharded(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg 
 	// deliveries, failures and repairs.
 	sh := z.events
 
-	// The same three RNG streams, seeded identically to Simulate, so both
-	// engines see the same arrival process and dispatch draws.
+	// Three independent streams, so every dispatcher sees the same
+	// arrival process: arrivals (as eventsim.Latency), job types/sizes
+	// (as eventsim's job stream), dispatch decisions.
 	arng := stats.NewRNG(cfg.Seed)
 	drng := stats.NewRNG(cfg.Seed ^ 0xd1b54a32d192ed03)
 	jobs := eventsim.NewJobStream(w, eventsim.LatencyConfig{
@@ -182,13 +194,32 @@ func SimulateSharded(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg 
 	}
 
 	// place routes one job — fresh arrival, retry re-arrival or park-drain
-	// — at time t: the fault-run ID relabelling and up-set count, the
-	// dispatch draw, delivery into the destination shard, and the fold of
-	// any completions within the delivery epsilon (still in global time
-	// order: the slab's merge already ran).
+	// — at time t: the settle of the learned servers, the fault-run ID
+	// relabelling and up-set count, the dispatch draw, delivery into the
+	// destination shard, and the fold of any completions within the
+	// settle and delivery epsilon (still in global time order: the slab's
+	// merge already ran).
 	place := func(t float64, j *sched.Job) error {
+		// Bring every learner up to t before Pick probes it; completions
+		// fold in server index order. The rule is why the learned fleet's
+		// observations match a lockstep clock's.
+		for _, i := range learned {
+			s := shardOf[i]
+			done, err := groups[s].Settle(t, i-base[s])
+			if err != nil {
+				return err
+			}
+			for _, c := range done {
+				fold(c)
+			}
+			sh.Update(s, groups[s].NextEvent())
+		}
 		up := len(servers)
 		if fr != nil {
+			// Re-issue the job's ID in dispatch order: a crash victim
+			// re-entering a queue behind younger jobs would otherwise break
+			// the schedulers' nondecreasing-ID arrival invariant. Without
+			// faults no job is ever re-placed and this is the identity.
 			j.ID = fr.seq
 			fr.seq++
 			if j.Retries > 0 {
@@ -373,8 +404,8 @@ func SimulateSharded(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg 
 		}
 		if fr != nil && completed+fr.dropped >= cfg.Jobs {
 			// The slab finished the run at the meta event's instant: stop
-			// before handling it so Elapsed and the fault counters agree
-			// with the serial engine at such ties.
+			// before handling it, so Elapsed and the fault counters do not
+			// count an event past the run's last job.
 			break
 		}
 		switch ev {

@@ -120,26 +120,15 @@ func Aggregate(runs []Replication) *SweepResult {
 }
 
 // Replicate runs one replication of the farm configuration with the i-th
-// seed derived from cfg.Seed — the unit of work grid sweeps fan out.
+// seed derived from cfg.Seed — the unit of work grid sweeps fan out — at
+// the engine's default execution settings.
 func Replicate(specs []ServerSpec, disp string, w workload.Workload, cfg Config, i int) (Replication, error) {
-	d, err := NewDispatcher(disp)
-	if err != nil {
-		return Replication{}, err
-	}
-	rcfg := cfg.withDefaults()
-	rcfg.Seed = ReplicationSeed(rcfg.Seed, i)
-	res, err := Simulate(specs, d, w, rcfg)
-	if err != nil {
-		return Replication{}, err
-	}
-	return Replication{Seed: rcfg.Seed, Result: res}, nil
+	return ReplicateSharded(specs, disp, w, cfg, ShardConfig{}, i)
 }
 
-// ReplicateSharded is Replicate on the sharded engine: the same
-// dispatcher construction and per-replication seed derivation, executed
-// by SimulateSharded under sc. Since the sharded engine's output is
-// byte-identical at any ShardConfig, a sharded replication differs from
-// its serial twin only by the engines' float-advance partitioning.
+// ReplicateSharded is Replicate under the execution settings sc: the
+// same dispatcher construction and per-replication seed derivation, run
+// by SimulateSharded. Its Replication is byte-identical at any sc.
 func ReplicateSharded(specs []ServerSpec, disp string, w workload.Workload, cfg Config, sc ShardConfig, i int) (Replication, error) {
 	d, err := NewDispatcher(disp)
 	if err != nil {
