@@ -11,7 +11,7 @@
 //	        [-dispatchers random,rr,jsq,li,pd] [-d 2] [-loads 0.5,0.8,0.95]
 //	        [-jobs 20000] [-reps 3] [-seed 1] [-quantiles]
 //	        [-mtbf 0] [-mttr 2.5] [-retries 5] [-retry-delay 0.5] [-checkpoint restart]
-//	        [-shards 0] [-slab 0] [-parallel N] [-cache dir] [-csv dir] [-progress]
+//	        [-parallel N] [-cache dir] [-csv dir] [-progress]
 //
 // -estimator replaces the oracle performance table with an online learner
 // (sampler or pairwise, see internal/online): schedulers and the li
@@ -36,18 +36,10 @@
 // from the per-replication seeds and the server index only, so every
 // dispatcher and load faces the same outage trajectory.
 //
-// -shards and -slab are execution settings of the farm's time-slab
-// engine (contiguous server partitions advanced in parallel between
-// synchronization points; see internal/farm.SimulateSharded): -shards
-// sets the partition count and -slab caps the slab length in simulated
-// time. At the default 0 each takes the engine default; for -slab that
-// is a cap adapted to the observed event density (the estimate reads
-// only the deterministic event stream, never worker count or wall time,
-// so the adaptive schedule is reproducible). Output is byte-identical at
-// any -shards/-slab/-parallel combination.
-//
-// Replication sweeps run through the shared runner engine: output is
-// byte-identical at any -parallel value.
+// Every simulation runs on the farm's event engine
+// (internal/farm.SimulateSharded), one event heap over the fleet, and
+// the grid's cells and replications run through the shared runner
+// engine: output is byte-identical at any -parallel value.
 //
 // farmsim exits non-zero on SIGINT/SIGTERM: the sweep is cancelled, the
 // partial grid is discarded and no CSV is written (CSV writes go through
@@ -68,7 +60,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -109,8 +100,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		retries     = fs.Int("retries", 5, "retry cap per job: a crash victim past this many attempts is dropped")
 		retryDelay  = fs.Float64("retry-delay", 0.5, "base re-dispatch backoff; attempt k waits delay*2^(k-1)")
 		checkpoint  = fs.String("checkpoint", string(fault.Restart), "crash checkpoint policy: restart (redo lost work) or resume (keep progress)")
-		shards      = fs.Int("shards", 0, "engine shard count (0 = engine default; results are identical at any value)")
-		slab        = fs.Float64("slab", 0, "cap the engine's slab length in simulated time (0 = adaptive, tuned from observed event density)")
 		parallel    = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size (results are identical at any value)")
 		cacheDir    = fs.String("cache", "", "cache built performance databases as gob files in this directory")
 		csvDir      = fs.String("csv", "", "also write the result grid as a CSV file into this directory")
@@ -133,14 +122,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			fmt.Fprintf(stderr, "farmsim: %s wants a count >= 1, got %d\n", c.flag, c.v)
 			return 2
 		}
-	}
-	if *shards < 0 {
-		fmt.Fprintf(stderr, "farmsim: -shards wants a count >= 0, got %d\n", *shards)
-		return 2
-	}
-	if *slab < 0 || math.IsNaN(*slab) {
-		fmt.Fprintf(stderr, "farmsim: -slab wants a duration >= 0 (0 = adaptive), got %v\n", *slab)
-		return 2
 	}
 	var dispList []string
 	for _, s := range strings.Split(*dispatchers, ",") {
@@ -214,8 +195,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		Dispatchers:  dispList,
 		Loads:        loadList,
 		Replications: *reps,
-		Shards:       *shards,
-		Slab:         *slab,
 		Faults:       fcfg,
 	})
 	if err != nil {

@@ -89,17 +89,14 @@ func TestRunDeterministicAcrossParallel(t *testing.T) {
 	}
 }
 
-// TestRunShardedPD smoke-runs power-of-d dispatch under explicit engine
-// settings: a bare "pd" in -dispatchers picks up the -d probe count, and
-// -shards/-slab are pure execution settings — the default engine shape
-// and -shards 3 -slab 0.5, at -parallel 1 and NumCPU, print
-// byte-identical reports.
+// TestRunShardedPD smoke-runs power-of-d dispatch: a bare "pd" in
+// -dispatchers picks up the -d probe count, and -parallel 1 and NumCPU
+// print byte-identical reports.
 func TestRunShardedPD(t *testing.T) {
 	var outs []string
 	for _, settings := range [][]string{
-		{"-shards", "0", "-parallel", "1"},
-		{"-shards", "3", "-slab", "0.5", "-parallel", "1"},
-		{"-shards", "3", "-slab", "0.5", "-parallel", strconv.Itoa(runtime.NumCPU())},
+		{"-parallel", "1"},
+		{"-parallel", strconv.Itoa(runtime.NumCPU())},
 	} {
 		var out, errb strings.Builder
 		args := append([]string{
@@ -235,9 +232,8 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRunEngineFlagValidation pins the up-front exit-2 contract on the
-// engine knobs and run sizes: negative or non-finite geometry, and
-// counts below 1, are usage errors caught before any simulation runs,
-// while -slab 0 (adaptive) is a valid working configuration.
+// run sizes and the worker-pool size: counts below 1 are usage errors
+// caught before any simulation runs.
 func TestRunEngineFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -245,17 +241,10 @@ func TestRunEngineFlagValidation(t *testing.T) {
 		want int
 		msg  string
 	}{
-		{"negative shards", []string{"-shards", "-1"}, 2, "-shards"},
-		{"negative slab", []string{"-slab", "-0.5"}, 2, "-slab"},
-		{"nan slab", []string{"-slab", "NaN"}, 2, "-slab"},
 		{"zero parallel", []string{"-parallel", "0"}, 2, "-parallel"},
 		{"zero jobs", []string{"-jobs", "0"}, 2, "-jobs"},
 		{"negative servers", []string{"-servers", "-3"}, 2, "-servers"},
 		{"negative parallel", []string{"-parallel", "-2"}, 2, "-parallel"},
-		{"adaptive slab runs", []string{
-			"-servers", "4", "-shards", "2", "-slab", "0",
-			"-jobs", "400", "-reps", "1", "-dispatchers", "rr", "-loads", "0.5",
-		}, 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

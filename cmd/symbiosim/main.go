@@ -15,13 +15,11 @@
 // Scenarios come from the internal/scenario registry (see `symbiosim
 // list`): the paper's table1/fig1-fig6/table2, the n8/fairness/uarch
 // analyses, the makespan/farm/online extensions, and the hetfarm,
-// megafarm (power-of-d dispatch on the sharded engine), burst and slo
-// studies.
+// megafarm (power-of-d dispatch on the farm's event engine), burst and
+// slo studies.
 //
 // -parallel bounds the worker pool of every sweep (results are identical
-// at any value), -slab caps the sharded scenarios' slab length in
-// simulated time (0 = adaptive; results are likewise identical at any
-// value), -cache caches built performance databases on disk,
+// at any value), -cache caches built performance databases on disk,
 // -csv writes every scenario table as CSV, and -progress reports
 // per-sweep progress on stderr. -metrics turns on the internal/metrics
 // instrumentation (scenarios that support it emit an extra *_metrics
@@ -44,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -91,7 +88,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		seed     = fs.Uint64("seed", 1, "random seed")
 		csvDir   = fs.String("csv", "", "also write every scenario table as a CSV file into this directory")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for every sweep (results are identical at any value)")
-		slab     = fs.Float64("slab", 0, "slab-length cap for the sharded scenarios (0 = adaptive; results are identical at any value)")
 		cacheDir = fs.String("cache", "", "cache built performance databases as gob files in this directory")
 		progress = fs.Bool("progress", false, "print per-sweep progress to stderr")
 		metricsF = fs.Bool("metrics", false, "collect internal instrumentation (extra *_metrics tables; results unchanged)")
@@ -128,10 +124,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		fmt.Fprintf(stderr, "symbiosim: -sample wants a count >= 0 (0 = all workloads), got %d\n", *sample)
 		return 2
 	}
-	if *slab < 0 || math.IsNaN(*slab) {
-		fmt.Fprintf(stderr, "symbiosim: -slab wants a duration >= 0 (0 = adaptive), got %v\n", *slab)
-		return 2
-	}
 
 	switch cmd := fs.Arg(0); cmd {
 	case "list":
@@ -158,7 +150,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	cfg.SampleWorkloads = *sample
 	cfg.Seed = *seed
 	cfg.Parallelism = *parallel
-	cfg.Slab = *slab
 	cfg.CacheDir = *cacheDir
 	cfg.Metrics = *metricsF
 	if cfg.CacheDir != "" {

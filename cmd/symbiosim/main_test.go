@@ -84,14 +84,12 @@ func TestRunErrors(t *testing.T) {
 	if !strings.Contains(errb.String(), "unknown scenario") {
 		t.Errorf("unknown scenario not reported: %s", errb.String())
 	}
-	// Engine knobs and run sizes are validated up front: negative
-	// geometry or a count below its minimum is a usage error naming the
-	// flag, before any scenario runs.
+	// The worker-pool size and run sizes are validated up front: a count
+	// below its minimum is a usage error naming the flag, before any
+	// scenario runs.
 	for _, bad := range [][]string{
 		{"-parallel", "0", "run", "fig4"},
 		{"-parallel", "-3", "run", "fig4"},
-		{"-slab", "-1", "run", "megafarm"},
-		{"-slab", "NaN", "run", "megafarm"},
 		{"-sim-jobs", "-5", "run", "fig5"},
 		{"-sim-jobs", "0", "run", "farm"},
 		{"-fcfs-jobs", "-5", "run", "table1"},

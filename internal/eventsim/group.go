@@ -15,8 +15,8 @@ type Completion struct {
 	Job    *sched.Job
 }
 
-// Group is a shard-steppable set of servers: each server keeps its own
-// local clock and is advanced lazily, only at its own events — a
+// Group steps a fleet of servers on one event heap: each server keeps
+// its own local clock and is advanced lazily, only at its own events — a
 // completion, a delivered arrival, a caller's Settle, or a final settle.
 // Server state is piecewise-constant between its own events, so skipping
 // the intermediate global events changes nothing observable at this
@@ -26,17 +26,17 @@ type Completion struct {
 // exception: it has not measured the interval since the server's last
 // event, which is what Settle is for.)
 //
-// A TimeHeap keyed by absolute next-completion times orders the group's
-// events; processing pops in (time, server index) order makes a group's
-// event sequence a deterministic function of its inputs, independent of
-// how the caller slices time into advance horizons. The sharded farm
-// coordinator (internal/farm.SimulateSharded) builds one Group per shard
-// and synchronises them on slab boundaries.
+// A TimeHeap keyed by absolute next-completion times orders the fleet's
+// events, ties by server index, so completions pop in (time, server
+// index) order: a deterministic function of the group's inputs,
+// independent of how the caller slices time into advance horizons. The
+// farm engine (internal/farm.SimulateSharded) drives one Group over its
+// whole fleet.
 type Group struct {
 	servers []*Server
-	clock   []float64 // per-server local clock (absolute simulated time)
-	h       *TimeHeap // absolute next-completion time per server
-	buf     []Completion
+	clock   []float64    // per-server local clock (absolute simulated time)
+	h       *TimeHeap    // absolute next-completion time per server
+	buf     []Completion // the point events' completions, at most K
 }
 
 // NewGroup returns a group over the given (freshly built, empty) servers.
@@ -49,15 +49,6 @@ func NewGroup(servers []*Server) *Group {
 		h:       NewTimeHeap(len(servers)),
 	}
 }
-
-// Len returns the number of servers in the group.
-func (g *Group) Len() int { return len(g.servers) }
-
-// Server returns the i-th server (for dispatch probes and final stats).
-func (g *Group) Server(i int) *Server { return g.servers[i] }
-
-// Clock returns server i's local clock.
-func (g *Group) Clock(i int) float64 { return g.clock[i] }
 
 // NextEvent returns the absolute time of the group's earliest pending
 // completion, or +Inf when no server is busy.
@@ -82,17 +73,16 @@ func (g *Group) refresh(i int, t float64) {
 
 // AdvanceTo processes every completion in the group with event time at
 // most horizon, in (time, server index) order, advancing only the
-// servers involved. It returns the completions in that order; the slice
-// is group-owned scratch, valid until the next call into the group.
-func (g *Group) AdvanceTo(horizon float64) ([]Completion, error) {
-	g.buf = g.buf[:0]
+// servers involved, and hands each completion to emit as it pops. emit
+// must not call back into the group.
+func (g *Group) AdvanceTo(horizon float64, emit func(Completion)) error {
 	for {
 		t := g.h.Min()
 		// An idle group (t = +Inf) terminates even against an infinite
 		// drain horizon; a completion exactly at a finite horizon is
 		// processed (inclusive bound — the serial tie rule).
 		if math.IsInf(t, 1) || t > horizon {
-			return g.buf, nil
+			return nil
 		}
 		i := g.h.MinIndex()
 		sv := g.servers[i]
@@ -102,15 +92,15 @@ func (g *Group) AdvanceTo(horizon float64) ([]Completion, error) {
 		}
 		done := sv.Advance(dt)
 		g.clock[i] = t
-		for _, j := range done {
-			g.buf = append(g.buf, Completion{T: t, Server: i, Job: j})
-		}
 		if len(done) > 0 {
 			if err := sv.Reschedule(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		g.refresh(i, t)
+		for _, j := range done {
+			emit(Completion{T: t, Server: i, Job: j})
+		}
 	}
 }
 

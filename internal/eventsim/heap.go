@@ -3,11 +3,10 @@ package eventsim
 import "math"
 
 // TimeHeap is an indexed 4-ary min-heap over per-server event times. A
-// Group keys it by absolute next-completion times, the farm's shard
-// frontier by shard next-event times and the fault injector by next
-// fault times; a lockstep loop can key it by time-to-next-completion
-// deltas, where sifts are near-O(1) because every busy key shrinks by
-// the same dt, preserving relative order. It holds only busy servers
+// Group keys it by absolute next-completion times and the fault injector
+// by next fault times; a lockstep loop can key it by
+// time-to-next-completion deltas, where sifts are near-O(1) because
+// every busy key shrinks by the same dt, preserving relative order. It holds only busy servers
 // (finite keys), and Update is an O(1) no-op for servers whose key did
 // not move (idle ones between events).
 //
@@ -39,27 +38,14 @@ func (a heapNode) less(b heapNode) bool {
 
 // NewTimeHeap returns an empty heap over n server indices.
 func NewTimeHeap(n int) *TimeHeap {
-	h := &TimeHeap{}
-	h.Reset(n)
-	return h
-}
-
-// Reset empties the heap and re-sizes it over n server indices, reusing
-// the backing arrays — the scratch-reuse hook for callers that rebuild a
-// heap per run (the sharded farm's per-shard event dirty-set).
-func (h *TimeHeap) Reset(n int) {
 	if n > math.MaxInt32 {
 		panic("eventsim: TimeHeap over more than MaxInt32 servers")
 	}
-	if cap(h.pos) < n {
-		h.pos = make([]int32, n)
-		h.nodes = make([]heapNode, 0, n)
-	}
-	h.pos = h.pos[:n]
-	h.nodes = h.nodes[:0]
+	h := &TimeHeap{pos: make([]int32, n), nodes: make([]heapNode, 0, n)}
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
+	return h
 }
 
 // Len returns the number of servers currently in the heap (finite keys).

@@ -39,8 +39,8 @@ func checkHeapLayout(t *testing.T, h *TimeHeap, keys []float64) {
 // removals to +Inf, repeated no-ops, and keys drawn from a few integers
 // so that ties are common — the heap's minimum must equal the scan's
 // minimum over the same keys, bit for bit, and its index must be the
-// scan's lowest index holding that minimum (the shard groups and the
-// fault injector rely on the tie-break).
+// scan's lowest index holding that minimum (the farm's event group and
+// the fault injector rely on the tie-break).
 func TestTimeHeapMatchesScan(t *testing.T) {
 	const n = 37
 	rng := stats.NewRNG(5)

@@ -8,11 +8,11 @@ import "symbiosched/internal/metrics"
 // their 0 allocs/op pins and benchmark profile intact.
 //
 // Instruments are owned by one server's event loop and are not
-// synchronised; engines that run servers concurrently give each server
-// its own collector and merge the snapshots in server index order. All
-// observations happen at the server's own events with the server's own
-// dt, so the accumulated values are invariant to how the engine slices
-// time across shards or workers (see the farm metrics determinism test).
+// synchronised; the farm engine gives each server its own collector and
+// merges the snapshots in server index order. All observations happen at
+// the server's own events with the server's own dt, so the accumulated
+// values do not depend on how the engine slices time into advance
+// horizons.
 type ServerMetrics struct {
 	// Busy integrates the number of occupied contexts over time; Queue
 	// integrates jobs in system (running + waiting) over time.

@@ -55,11 +55,6 @@ type Config struct {
 	// sweeps, Section VI simulations). Zero means all CPUs. Results are
 	// independent of the value; only wall time changes.
 	Parallelism int
-	// Slab caps the sharded engine's slab length in simulated time for
-	// the megafarm and resilience scenarios. Zero means adaptive sizing
-	// (the engine tunes the cap to the observed event density). Results
-	// are independent of the value; only wall time changes.
-	Slab float64
 	// CacheDir, when non-empty, caches built perfdb tables as gob files
 	// in this directory so the expensive database build amortises across
 	// runs.

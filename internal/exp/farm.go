@@ -39,12 +39,6 @@ type FarmOptions struct {
 	Loads []float64
 	// Replications is the number of seeds per cell (default 3).
 	Replications int
-	// Shards and Slab are the farm engine's execution settings
-	// (farm.ShardConfig): the shard count and the synchronization slab
-	// cap in simulated time, zero meaning the engine default. Output is
-	// byte-identical at any value.
-	Shards int
-	Slab   float64
 	// Faults, when enabled (MTBF > 0), injects deterministic server
 	// failure/repair into every cell (internal/fault). The fault streams
 	// derive from the replication seeds, so every dispatcher and load
@@ -236,9 +230,7 @@ func farmPlan(e *Env, opt FarmOptions, tableName string) (*scenario.Plan, error)
 				Metrics:   e.Cfg.Metrics,
 				Faults:    opt.Faults,
 			}
-			rep, err := farm.ReplicateSharded(specs, disp, w, cfg,
-				farm.ShardConfig{Shards: opt.Shards, Workers: e.Cfg.Parallelism, Slab: opt.Slab},
-				pt.Index("rep"))
+			rep, err := farm.Replicate(specs, disp, w, cfg, pt.Index("rep"))
 			if err != nil {
 				return nil, fmt.Errorf("farm %s load %.2f: %w", disp, load, err)
 			}

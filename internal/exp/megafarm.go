@@ -13,7 +13,7 @@ import (
 // MegafarmScenario exercises the regime a lockstep farm loop cannot
 // reach: farms large enough that probing every server per arrival (li,
 // jsq) is off the table and an O(N)-per-event lockstep advance would
-// dominate the wall clock. Every cell runs on the farm's time-slab engine
+// dominate the wall clock. Every cell runs on the farm's event engine
 // (farm.SimulateSharded) under power-of-d-choices dispatch, sweeping farm
 // size x probe count x load. The d axis is the supermarket-model story at
 // farm scale: d = 1 is random splitting, d = 2 already buys most of the
@@ -65,15 +65,12 @@ func megafarmPlan(e *Env) (*scenario.Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The sharded engine's Result is byte-identical at any
-			// Shards/Workers/Slab, so tying Workers to the Env's
-			// parallelism cannot perturb the golden CSV.
 			res, err := farm.SimulateSharded(specs[si], disp, w, farm.Config{
 				Lambda:    load * caps[si],
 				Jobs:      e.Cfg.SimJobs,
 				SizeShape: 4,
 				Seed:      pt.Seed(e.Cfg.Seed, "servers", "load"),
-			}, farm.ShardConfig{Shards: 8, Workers: e.Cfg.Parallelism, Slab: e.Cfg.Slab})
+			}, farm.ShardConfig{})
 			if err != nil {
 				return nil, fmt.Errorf("megafarm n=%d pd%d load %.2f: %w", sizes[si], d, load, err)
 			}

@@ -11,9 +11,9 @@ import (
 )
 
 // ResilienceScenario is the fault-injection study: an 8-server FCFS farm
-// on the sharded engine at fixed load, swept over a failure-rate grid
-// (MTBF), the dispatch policies that matter under degradation (li, pd2,
-// jsq) and both checkpoint policies. Seeds derive from the MTBF axis
+// on the farm's event engine at fixed load, swept over a failure-rate
+// grid (MTBF), the dispatch policies that matter under degradation (li,
+// pd2, jsq) and both checkpoint policies. Seeds derive from the MTBF axis
 // only, so every (dispatcher, checkpoint) pair competes under common
 // random numbers — the same arrivals AND the same failure/repair
 // trajectory (fault streams are per server index, shape-independent).
@@ -57,9 +57,6 @@ func resiliencePlan(e *Env) (*scenario.Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The sharded engine's Result is byte-identical at any
-			// Shards/Workers/Slab, so tying Workers to the Env's
-			// parallelism cannot perturb the golden CSV.
 			res, err := farm.SimulateSharded(specs, d, w, farm.Config{
 				Lambda:    load * capacity,
 				Jobs:      e.Cfg.SimJobs,
@@ -72,7 +69,7 @@ func resiliencePlan(e *Env) (*scenario.Plan, error) {
 					RetryDelay: retryDelay,
 					Checkpoint: cp,
 				},
-			}, farm.ShardConfig{Shards: 8, Workers: e.Cfg.Parallelism, Slab: e.Cfg.Slab})
+			}, farm.ShardConfig{})
 			if err != nil {
 				return nil, fmt.Errorf("resilience mtbf=%g %s/%s: %w", mtbf, disp, cp, err)
 			}

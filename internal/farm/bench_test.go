@@ -2,7 +2,6 @@ package farm
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"symbiosched/internal/fault"
@@ -43,46 +42,6 @@ func BenchmarkFarmScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedWorkerScaling measures how the sharded engine's wall
-// time responds to the worker count at a fixed shard geometry — the
-// coordination-layer scaling story. The workload is a slice of the
-// megafarm acceptance shape (many shards, pd2 dispatch, load ~0.8).
-// Output is pinned identical across worker counts, so the benchmark
-// doubles as the byte-identity check the ShardConfig contract makes.
-func BenchmarkShardedWorkerScaling(b *testing.B) {
-	tab := smtTable(b)
-	const n = 8192
-	specs := make([]ServerSpec, n)
-	for i := range specs {
-		specs[i] = fcfsSpec(tab)
-	}
-	cfg := Config{Lambda: 1.5 * float64(n), Jobs: 4000, SizeShape: 4, Seed: 1}
-	var pin string
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d, err := NewDispatcher("pd2")
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := SimulateSharded(specs, d, w4(), cfg, ShardConfig{Shards: 64, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fp := fmt.Sprintf("%v/%v/%v/%v",
-					res.MeanTurnaround, res.P99Turnaround, res.Throughput, res.Utilisation)
-				if pin == "" {
-					pin = fp
-				} else if fp != pin {
-					b.Fatalf("output drifted across iterations or worker counts:\n%s\nvs\n%s", pin, fp)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFarmFaultOverhead pins the cost of the fault-enabled hot path:
 // the same sharded simulation with faults off and with a busy
 // failure/repair process (MTBF>0). The on/off ns/op ratio is the bounded
@@ -114,7 +73,7 @@ func BenchmarkFarmFaultOverhead(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := SimulateSharded(specs, d, w4(), c, ShardConfig{Shards: 8, Workers: 1})
+				res, err := SimulateSharded(specs, d, w4(), c, ShardConfig{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -129,46 +88,31 @@ func BenchmarkFarmFaultOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkFarmSharded measures the engine's shard geometries on one
-// workload shape: shards=1/workers=1 isolates the lazy per-server
-// advance (O(log n) per event), the NumCPU variant adds slab
-// parallelism on top. Output is pinned across
-// iterations — and across the two shard configurations, since the sharded
-// Result is byte-identical at any Shards/Workers setting.
+// BenchmarkFarmSharded measures the engine on a fleet too large for
+// BenchmarkFarmScaling's sizes: one event heap over 8192 servers under
+// round-robin dispatch, so the per-event cost is the O(log n) lazy
+// per-server advance. Output is pinned across iterations.
 func BenchmarkFarmSharded(b *testing.B) {
 	tab := smtTable(b)
-	ncpu := runtime.NumCPU()
-	for _, n := range []int{512, 8192} {
-		specs := make([]ServerSpec, n)
-		for i := range specs {
-			specs[i] = fcfsSpec(tab)
-		}
-		cfg := Config{Lambda: 1.5 * float64(n), Jobs: 4000, SizeShape: 4, Seed: 1}
+	const n = 8192
+	specs := fleet(n, fcfsSpec(tab))
+	cfg := Config{Lambda: 1.5 * float64(n), Jobs: 4000, SizeShape: 4, Seed: 1}
+	b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
 		var pin string
-		// On single-core machines the parallel variant still exercises the
-		// multi-shard merge path, just without a second worker.
-		wide := ShardConfig{Shards: ncpu, Workers: ncpu}
-		if ncpu == 1 {
-			wide = ShardConfig{Shards: 8, Workers: 1}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := SimulateSharded(specs, &RoundRobin{}, w4(), cfg, ShardConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			fp := fmt.Sprintf("%v/%v/%v/%v",
+				res.MeanTurnaround, res.P99Turnaround, res.Throughput, res.Utilisation)
+			if pin == "" {
+				pin = fp
+			} else if fp != pin {
+				b.Fatalf("output drifted across iterations:\n%s\nvs\n%s", pin, fp)
+			}
 		}
-		for _, sc := range []ShardConfig{{Shards: 1, Workers: 1}, wide} {
-			b.Run(fmt.Sprintf("servers=%d/shards=%d/workers=%d", n, sc.Shards, sc.Workers), func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := SimulateSharded(specs, &RoundRobin{}, w4(), cfg, sc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					fp := fmt.Sprintf("%v/%v/%v/%v",
-						res.MeanTurnaround, res.P99Turnaround, res.Throughput, res.Utilisation)
-					if pin == "" {
-						pin = fp
-					} else if fp != pin {
-						b.Fatalf("output drifted across iterations or shard configs:\n%s\nvs\n%s", pin, fp)
-					}
-				}
-			})
-		}
-	}
+	})
 }

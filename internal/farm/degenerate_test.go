@@ -7,9 +7,8 @@ import (
 )
 
 // TestDegenerateGeometries runs the engine and the reference loop on the
-// edge cases of the fleet slab and of job recycling: a single server in
-// a single shard (every crash takes the whole farm down, so arrivals
-// park), more shards than servers (the shard count clamps), K = 1
+// edge cases of the fleet slab and of job recycling: a single server
+// (every crash takes the whole farm down, so arrivals park), K = 1
 // machines at high load with faults on (capacity-1 scratch, queues
 // growing past their 2K share, crashes evicting more than K victims),
 // and a warm-up covering every job with faults on (no counted job, no
@@ -21,15 +20,13 @@ func TestDegenerateGeometries(t *testing.T) {
 		specs []ServerSpec
 		w     workload.Workload
 		cfg   Config
-		sc    ShardConfig
 		check func(t *testing.T, r *Result)
 	}{
 		{
-			desc:  "one server, one shard",
+			desc:  "one server",
 			specs: fleet(1, fcfsSpec(smt)),
 			w:     w4(),
 			cfg:   Config{Lambda: 1, Jobs: 2000, SizeShape: 4, Seed: 21, Faults: faultCfg()},
-			sc:    ShardConfig{Shards: 1, Workers: 1},
 			check: func(t *testing.T, r *Result) {
 				if r.Parked == 0 {
 					t.Error("no arrival parked: the lone server never went down")
@@ -37,18 +34,10 @@ func TestDegenerateGeometries(t *testing.T) {
 			},
 		},
 		{
-			desc:  "more shards than servers",
-			specs: fleet(3, fcfsSpec(smt)),
-			w:     w4(),
-			cfg:   Config{Lambda: 3, Jobs: 2000, SizeShape: 4, Seed: 22, Faults: faultCfg()},
-			sc:    ShardConfig{Shards: 8, Workers: 2},
-		},
-		{
 			desc:  "K=1 uniform machines",
 			specs: fleet(4, fcfsSpec(k1)),
 			w:     workload.Workload{0},
 			cfg:   Config{Lambda: 3.6, Jobs: 3000, SizeShape: 1, Seed: 23, Faults: faultCfg()},
-			sc:    ShardConfig{Shards: 2, Workers: 2},
 			check: func(t *testing.T, r *Result) {
 				if r.Redispatches == 0 {
 					t.Error("no crash victim was re-dispatched")
@@ -60,7 +49,6 @@ func TestDegenerateGeometries(t *testing.T) {
 			specs: fleet(4, fcfsSpec(smt)),
 			w:     w4(),
 			cfg:   Config{Lambda: 4, Jobs: 500, Warmup: 500, SizeShape: 4, Seed: 24, SLO: 2, Faults: faultCfg()},
-			sc:    ShardConfig{Shards: 3, Workers: 1},
 			check: func(t *testing.T, r *Result) {
 				if r.Counted != 0 || r.P99Turnaround != 0 || r.RetryP99 != 0 || r.SLOAttainment != 0 {
 					t.Errorf("counted %d, p99 %v, retry p99 %v, SLO attainment %v: want all 0",
@@ -70,7 +58,7 @@ func TestDegenerateGeometries(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		res := crossCheck(t, tc.desc, tc.specs, "jsq", tc.w, tc.cfg, tc.sc)
+		res := crossCheck(t, tc.desc, tc.specs, "jsq", tc.w, tc.cfg)
 		if res.Completed+res.Dropped != tc.cfg.Jobs {
 			t.Errorf("%s: completed %d + dropped %d, want %d jobs", tc.desc, res.Completed, res.Dropped, tc.cfg.Jobs)
 		}

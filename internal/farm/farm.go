@@ -7,12 +7,12 @@
 // internal/eventsim.
 //
 // One event engine drives every farm run: SimulateSharded. Each server
-// keeps a lazy local clock inside an eventsim.Group and advances only at
-// its own events, so an event costs O(log N) instead of a sweep over the
-// fleet; servers that learn their rates online are also brought to every
-// placement instant before the dispatcher probes them (DESIGN.md, "One
-// farm engine"). A run is a deterministic function of (specs, dispatcher,
-// workload, Config), byte-identical at any ShardConfig. Replication
+// keeps a lazy local clock inside one eventsim.Group over the fleet and
+// advances only at its own events, so an event costs O(log N) instead of
+// a sweep over the fleet; servers that learn their rates online are also
+// brought to every placement instant before the dispatcher probes them
+// (DESIGN.md, "One farm engine"). A run is a deterministic function of
+// (specs, dispatcher, workload, Config). Replication
 // sweeps run through internal/runner with index-ordered reduction,
 // keeping aggregate results bit-identical at any parallelism.
 //
@@ -113,9 +113,8 @@ type Config struct {
 	// Metrics, when set, instruments the run (internal/metrics): server
 	// occupancy and queue integrals, scheduler memo/prune counters,
 	// estimator observation counts, dispatch picks and the jobs-in-system
-	// series land in Result.Metrics; engine execution stats in
-	// Result.EngineStats. Instruments only observe — enabling them never
-	// changes a simulation's Result (pinned by test).
+	// series land in Result.Metrics. Instruments only observe — enabling
+	// them never changes a simulation's Result (pinned by test).
 	Metrics bool
 }
 
@@ -203,12 +202,13 @@ type Result struct {
 	PerServer []ServerStats
 	// Metrics is the run's merged instrumentation snapshot (nil unless
 	// Config.Metrics): dispatch instruments first, then every server's,
-	// merged in server index order. Like the Result scalars it is
-	// byte-identical at any ShardConfig — pinned by test.
+	// merged in server index order. Like the Result scalars it is a
+	// deterministic function of the run's inputs.
 	Metrics *metrics.Snapshot
-	// EngineStats holds engine execution counters (slab, shard-advance
-	// and merge counts). They legitimately vary with ShardConfig, which
-	// is why they are kept out of Metrics.
+	// EngineStats is reserved for engine execution data that is not a
+	// function of the inputs, such as the wall time of each engine phase,
+	// which is why it is kept out of Metrics. The engine records none
+	// yet, so it is always nil.
 	EngineStats *metrics.Snapshot
 }
 

@@ -432,7 +432,7 @@ func TestNonFiniteConfigRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc.cfg.Jobs, tc.cfg.Seed = 100, 1
-		if _, err := SimulateSharded(specs, &RoundRobin{}, w4(), tc.cfg, ShardConfig{Shards: 2, Workers: 1}); err == nil {
+		if _, err := SimulateSharded(specs, &RoundRobin{}, w4(), tc.cfg, ShardConfig{}); err == nil {
 			t.Errorf("%s: SimulateSharded returned no error", tc.desc)
 		}
 		if !tc.latency {

@@ -7,8 +7,8 @@ import (
 	"symbiosched/internal/sched"
 )
 
-// Meta-event kinds of the engine's event selection: at most one fires
-// per slab, and equal-time ties resolve in declaration order — fault
+// Meta-event kinds of the engine's event selection: one fires per loop
+// step, and equal-time ties resolve in declaration order — fault
 // transitions first (a crash at an arrival's instant evicts before the
 // arrival is placed; a repair re-opens the server to a same-instant
 // retry), then retry re-arrivals, then fresh arrivals. Completions are

@@ -2,7 +2,6 @@ package farm
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"symbiosched/internal/fault"
@@ -28,12 +27,12 @@ func TestFaultDisabledReproducesBaseline(t *testing.T) {
 	off.Faults = fault.Config{MTTR: 9, MaxRetries: 2, RetryDelay: 1, Checkpoint: fault.Resume}
 	for _, disp := range []string{"li", "pd2", "rr"} {
 		d1, _ := NewDispatcher(disp)
-		base, err := SimulateSharded(specs, d1, w4(), cfg, ShardConfig{Shards: 3, Workers: 2})
+		base, err := SimulateSharded(specs, d1, w4(), cfg, ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		d2, _ := NewDispatcher(disp)
-		disabled, err := SimulateSharded(specs, d2, w4(), off, ShardConfig{Shards: 3, Workers: 2})
+		disabled, err := SimulateSharded(specs, d2, w4(), off, ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +59,7 @@ func TestFaultSerialMatchesSharded(t *testing.T) {
 			cfg.Faults = faultCfg()
 			cfg.Faults.Checkpoint = cp
 			desc := fmt.Sprintf("%s/%s", disp, cp)
-			res := crossCheck(t, desc, fleet(5, fcfsSpec(tab)), disp, w4(), cfg, ShardConfig{Shards: 3, Workers: 2})
+			res := crossCheck(t, desc, fleet(5, fcfsSpec(tab)), disp, w4(), cfg)
 			if res.Redispatches == 0 {
 				t.Errorf("%s: no redispatches — faults not exercised", desc)
 			}
@@ -68,10 +67,10 @@ func TestFaultSerialMatchesSharded(t *testing.T) {
 	}
 }
 
-// TestFaultShardConfigInvariance extends the tentpole bit-identity
-// contract to fault injection: the fault trajectory is a function of
-// (Seed, server index) only, so Shards, Workers and Slab must not move
-// a single bit of the Result.
+// TestFaultShardConfigInvariance pins that a faulted oracle run is a
+// function of its inputs alone: the fault trajectory depends on (Seed,
+// server index) only and ShardConfig is ignored, so repeated runs at any
+// shard count give the same Result bit for bit.
 func TestFaultShardConfigInvariance(t *testing.T) {
 	tab := smtTable(t)
 	specs := make([]ServerSpec, 7)
@@ -82,13 +81,7 @@ func TestFaultShardConfigInvariance(t *testing.T) {
 	cfg.Faults = faultCfg()
 	var ref string
 	var refSC ShardConfig
-	for _, sc := range []ShardConfig{
-		{Shards: 1, Workers: 1},
-		{Shards: 1, Workers: runtime.NumCPU()},
-		{Shards: 3, Workers: 1},
-		{Shards: 3, Workers: runtime.NumCPU(), Slab: 0.05},
-		{Shards: 7, Workers: 2, Slab: 1.7},
-	} {
+	for _, sc := range []ShardConfig{{}, {Shards: 64}} {
 		d, _ := NewDispatcher("pd2")
 		res, err := SimulateSharded(specs, d, w4(), cfg, sc)
 		if err != nil {
@@ -173,7 +166,7 @@ func TestFaultAllDownParksArrivals(t *testing.T) {
 	tab := uniformTable(1)
 	cfg := Config{Lambda: 2.0, Jobs: 1500, SizeShape: 1, Seed: 3}
 	cfg.Faults = fault.Config{MTBF: 10, MTTR: 4, MaxRetries: 8, RetryDelay: 0.1, Checkpoint: fault.Resume}
-	res := crossCheck(t, "one server", []ServerSpec{fcfsSpec(tab)}, "rr", w4()[:1], cfg, ShardConfig{Shards: 1, Workers: 1, Slab: 0.5})
+	res := crossCheck(t, "one server", []ServerSpec{fcfsSpec(tab)}, "rr", w4()[:1], cfg)
 	if res.Parked == 0 {
 		t.Error("one-server farm with outages parked nothing")
 	}
@@ -270,23 +263,36 @@ func TestFaultEpochBumpOnRepair(t *testing.T) {
 }
 
 // FuzzFaultInterleavings fuzzes failure/repair interleavings against
-// the reference loop: random fault rates, slab geometries (crashes
-// landing on slab boundaries), checkpoint policies and oracle or
-// pairwise-learned fleets, asserting the exact integer accounting and
-// tight float agreement — plus worker-count bit-identity within the
-// engine.
+// the reference loop: random fault rates, checkpoint policies, bursty
+// arrival schedules (crashes landing inside bursts, repairs draining
+// into troughs) and oracle or pairwise-learned fleets, asserting the
+// exact integer accounting, per-server dispatches included, and tight
+// float agreement.
 func FuzzFaultInterleavings(f *testing.F) {
-	f.Add(uint64(1), uint8(20), uint8(4), uint16(0), uint8(2), false, false)
-	f.Add(uint64(7), uint8(5), uint8(2), uint16(250), uint8(3), true, true)
-	f.Add(uint64(42), uint8(60), uint8(10), uint16(10), uint8(5), false, true)
-	f.Add(uint64(9000), uint8(1), uint8(1), uint16(65535), uint8(1), true, false)
-	f.Fuzz(func(t *testing.T, seed uint64, mtbfQ, mttrQ uint8, slabMilli uint16, shards uint8, resume, learned bool) {
+	f.Add(uint64(1), uint8(20), uint8(4), uint8(0), false, false)
+	f.Add(uint64(7), uint8(5), uint8(2), uint8(0), true, true)
+	f.Add(uint64(42), uint8(60), uint8(10), uint8(0), false, true)
+	f.Add(uint64(9000), uint8(1), uint8(1), uint8(0), true, false)
+	// The same fault processes under burst/trough arrival schedules.
+	f.Add(uint64(1), uint8(20), uint8(4), uint8(4), false, false)
+	f.Add(uint64(7), uint8(5), uint8(2), uint8(16), true, true)
+	f.Add(uint64(42), uint8(60), uint8(10), uint8(1), false, true)
+	f.Add(uint64(9000), uint8(1), uint8(1), uint8(7), true, false)
+	f.Fuzz(func(t *testing.T, seed uint64, mtbfQ, mttrQ, burst uint8, resume, learned bool) {
 		tab := smtTable(t)
 		specs := fleet(4, fcfsSpec(tab))
 		if learned {
 			specs = fleet(4, learnedSpec(tab, "pairwise"))
 		}
 		cfg := Config{Lambda: 5.0, Jobs: 500, SizeShape: 4, Seed: seed%1024 + 1}
+		if burst > 0 {
+			// A cyclic burst/trough schedule: rate 1+burst for half a
+			// unit, a trickle after.
+			cfg.Schedule = []Phase{
+				{Duration: 0.5, Rate: float64(burst) + 1},
+				{Duration: 0.25 + float64(seed%7)/4, Rate: 0.5},
+			}
+		}
 		cfg.Faults = fault.Config{
 			MTBF:       float64(mtbfQ%100) + 0.5,
 			MTTR:       float64(mttrQ%20)/2 + 0.25,
@@ -304,33 +310,29 @@ func FuzzFaultInterleavings(f *testing.F) {
 		if serial.Completed+serial.Dropped != cfg.Jobs {
 			t.Fatalf("reference: completed %d + dropped %d != jobs %d", serial.Completed, serial.Dropped, cfg.Jobs)
 		}
-		sc := ShardConfig{Shards: int(shards%6) + 1, Workers: 1, Slab: float64(slabMilli) / 1000}
 		d2, _ := NewDispatcher("li")
-		sharded, err := SimulateSharded(specs, d2, w4(), cfg, sc)
+		engine, err := SimulateSharded(specs, d2, w4(), cfg, ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sharded.Completed != serial.Completed || sharded.Counted != serial.Counted ||
-			sharded.Redispatches != serial.Redispatches || sharded.Dropped != serial.Dropped ||
-			sharded.Parked != serial.Parked {
-			t.Fatalf("fault accounting diverges:\nengine    %+v\nreference %+v", sharded, serial)
+		if engine.Completed != serial.Completed || engine.Counted != serial.Counted ||
+			engine.Redispatches != serial.Redispatches || engine.Dropped != serial.Dropped ||
+			engine.Parked != serial.Parked {
+			t.Fatalf("fault accounting diverges:\nengine    %+v\nreference %+v", engine, serial)
 		}
-		if relErr(sharded.MeanTurnaround, serial.MeanTurnaround) > 1e-6 ||
-			relErr(sharded.Availability, serial.Availability) > 1e-6 ||
-			relErr(sharded.Goodput, serial.Goodput) > 1e-6 ||
-			relErr(sharded.WastedWork, serial.WastedWork) > 1e-6 ||
-			relErr(sharded.Elapsed, serial.Elapsed) > 1e-6 {
-			t.Fatalf("fault metrics diverge:\nengine    %+v\nreference %+v", sharded, serial)
+		for i := range serial.PerServer {
+			if engine.PerServer[i].Dispatched != serial.PerServer[i].Dispatched {
+				t.Fatalf("server %d dispatched %d (engine) vs %d (reference)",
+					i, engine.PerServer[i].Dispatched, serial.PerServer[i].Dispatched)
+			}
 		}
-		d3, _ := NewDispatcher("li")
-		wide, err := SimulateSharded(specs, d3, w4(), cfg, ShardConfig{
-			Shards: sc.Shards, Workers: runtime.NumCPU(), Slab: sc.Slab,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, b := fmt.Sprintf("%+v", sharded), fmt.Sprintf("%+v", wide); a != b {
-			t.Fatalf("workers 1 vs NumCPU differ under faults:\n%s\nvs\n%s", a, b)
+		if relErr(engine.MeanTurnaround, serial.MeanTurnaround) > 1e-6 ||
+			relErr(engine.Availability, serial.Availability) > 1e-6 ||
+			relErr(engine.Goodput, serial.Goodput) > 1e-6 ||
+			relErr(engine.WastedWork, serial.WastedWork) > 1e-6 ||
+			relErr(engine.Elapsed, serial.Elapsed) > 1e-6 ||
+			relErr(engine.Throughput, serial.Throughput) > 1e-6 {
+			t.Fatalf("fault metrics diverge:\nengine    %+v\nreference %+v", engine, serial)
 		}
 	})
 }

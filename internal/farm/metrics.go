@@ -12,29 +12,20 @@ import (
 // hook method is a nil-receiver no-op, so the engine stays on its
 // uninstrumented path.
 //
-// Ownership mirrors the engine's concurrency: each server gets its own
-// collector (shards advance servers concurrently, but one server is only
-// ever touched by one goroutine), while the dispatch and engine
-// collectors are only touched in the single-threaded coordinator
-// sections. The merged simulation snapshot folds dispatch first, then
-// the servers in index order — the same index-ordered reduction that
-// keeps Results byte-identical — so it is invariant to Shards, Workers
-// and Slab. Engine execution stats (slab and merge counts) legitimately
-// depend on those knobs and are kept in a separate snapshot.
+// Each server gets its own collector, touched only when the engine steps
+// that server; the dispatch collector is touched only by the engine's
+// coordinator. The merged snapshot folds dispatch first, then the
+// servers in index order — the same index-ordered reduction that keeps
+// Results byte-identical.
 type runMetrics struct {
 	serverCols []*metrics.Collector
 	dispatch   *metrics.Collector
 	picks      *metrics.Counter
 	qlen       *metrics.Series
 
-	engine *metrics.Collector
-	slabs  *metrics.Counter // slabs run
-	shards *metrics.Counter // shard-advance calls (sum of active set sizes)
-	merged *metrics.Counter // completions k-way merged
-
 	// Fault-injection instruments, on the dispatch collector (fault
-	// transitions and re-dispatch both run in the single-threaded
-	// coordinator sections). All stay zero when faults are disabled.
+	// transitions and re-dispatch both run in the coordinator). All stay
+	// zero when faults are disabled.
 	crashes      *metrics.Counter // fault_crashes: server failures
 	repairs      *metrics.Counter // fault_repairs: servers brought back up
 	redispatches *metrics.Counter // fault_redispatches: crash victims placed again
@@ -46,16 +37,13 @@ type runMetrics struct {
 // instruments, plus the dispatch-side picks counter and the
 // jobs-in-system series sampled at every arrival.
 func newRunMetrics(servers []*eventsim.Server) *runMetrics {
-	rm := &runMetrics{dispatch: metrics.New(), engine: metrics.New()}
+	rm := &runMetrics{dispatch: metrics.New()}
 	rm.picks = rm.dispatch.Counter("dispatch_picks")
 	rm.qlen = rm.dispatch.Series("farm_jobs_in_system", 256)
 	rm.crashes = rm.dispatch.Counter("fault_crashes")
 	rm.repairs = rm.dispatch.Counter("fault_repairs")
 	rm.redispatches = rm.dispatch.Counter("fault_redispatches")
 	rm.parks = rm.dispatch.Counter("fault_parked")
-	rm.slabs = rm.engine.Counter("engine_slabs")
-	rm.shards = rm.engine.Counter("engine_shard_advances")
-	rm.merged = rm.engine.Counter("engine_merged_completions")
 	for _, sv := range servers {
 		c := metrics.New()
 		sv.SetMetrics(eventsim.NewServerMetrics(c))
@@ -73,17 +61,6 @@ func (rm *runMetrics) pick(t float64, inSystem int) {
 	if rm != nil {
 		rm.picks.Inc()
 		rm.qlen.Append(t, float64(inSystem))
-	}
-}
-
-// slab records one synchronisation slab: the slab itself, how
-// many shards were active in it, and how many completions its merge
-// folded.
-func (rm *runMetrics) slab(active, mergedComps int) {
-	if rm != nil {
-		rm.slabs.Inc()
-		rm.shards.Add(uint64(active))
-		rm.merged.Add(uint64(mergedComps))
 	}
 }
 
@@ -125,10 +102,9 @@ func (rm *runMetrics) snapshot() *metrics.Snapshot {
 	return snap
 }
 
-// finish attaches the run's snapshots to the assembled result.
+// finish attaches the run's snapshot to the assembled result.
 func (rm *runMetrics) finish(res *Result) {
 	if rm != nil {
 		res.Metrics = rm.snapshot()
-		res.EngineStats = rm.engine.Snapshot()
 	}
 }

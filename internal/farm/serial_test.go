@@ -193,9 +193,8 @@ func simulateSerial(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg C
 }
 
 // crossCheck runs dispatcher disp over specs on the reference loop and
-// on the engine under sc, requires agreeWithin, and returns the engine's
-// result.
-func crossCheck(t *testing.T, desc string, specs []ServerSpec, disp string, w workload.Workload, cfg Config, sc ShardConfig) *Result {
+// on the engine, requires agreeWithin, and returns the engine's result.
+func crossCheck(t *testing.T, desc string, specs []ServerSpec, disp string, w workload.Workload, cfg Config) *Result {
 	t.Helper()
 	d1, err := NewDispatcher(disp)
 	if err != nil {
@@ -206,7 +205,7 @@ func crossCheck(t *testing.T, desc string, specs []ServerSpec, disp string, w wo
 		t.Fatalf("%s: reference loop: %v", desc, err)
 	}
 	d2, _ := NewDispatcher(disp)
-	engine, err := SimulateSharded(specs, d2, w, cfg, sc)
+	engine, err := SimulateSharded(specs, d2, w, cfg, ShardConfig{})
 	if err != nil {
 		t.Fatalf("%s: engine: %v", desc, err)
 	}

@@ -11,9 +11,8 @@ import (
 // at construction, so the steady state allocates nothing: the margin
 // measures about zero. A job object per arrival would read 1 (or 1/256
 // from the stream's job chunks alone, which is why the bytes bound below
-// pins the recycling); per-slab goroutine spawns or merge-buffer churn
-// would read far more (the pre-pool sharded engine measured >6 at
-// multi-worker configs).
+// pins the recycling); a completion buffer growing with the run would
+// show in the bytes bound below.
 const maxAllocsPerJob = 0.01
 
 // maxBytesPerJob bounds the marginal bytes of a run keeping samples
@@ -24,8 +23,7 @@ const maxAllocsPerJob = 0.01
 func maxBytesPerJob(samples int) float64 { return 8*float64(samples) + 4 }
 
 // TestShardedSlabLoopAllocs pins the zero-steady-state-allocation
-// contract of the engine: an oracle fleet under pd2 across 16 shards,
-// and a pairwise-learned MAXIT fleet under li with faults on, where the
+// contract of the engine: an oracle fleet under pd2, and a pairwise-learned MAXIT fleet under li with faults on, where the
 // settle before every placement, the learner probes and the crash,
 // retry and park paths all run. The learned fleet is small because the
 // learners and MAXIT's enumerator grow their per-coschedule state
@@ -42,11 +40,10 @@ func TestShardedSlabLoopAllocs(t *testing.T) {
 		specs   []ServerSpec
 		disp    string
 		faults  bool
-		sc      ShardConfig
 		samples int // float64 samples kept per counted job
 	}{
-		{"oracle pd2", fleet(64, fcfsSpec(tab)), "pd2", false, ShardConfig{Shards: 16, Workers: 1}, 1},
-		{"pairwise li faults", fleet(4, learnedSpec(tab, "pairwise")), "li", true, ShardConfig{Shards: 2, Workers: 1}, 2},
+		{"oracle pd2", fleet(64, fcfsSpec(tab)), "pd2", false, 1},
+		{"pairwise li faults", fleet(4, learnedSpec(tab, "pairwise")), "li", true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs, bytes := alloctest.MarginalPerJob(t, func(jobs int) {
@@ -58,7 +55,7 @@ func TestShardedSlabLoopAllocs(t *testing.T) {
 				if tc.faults {
 					cfg.Faults = faultCfg()
 				}
-				if _, err := SimulateSharded(tc.specs, d, w4(), cfg, tc.sc); err != nil {
+				if _, err := SimulateSharded(tc.specs, d, w4(), cfg, ShardConfig{}); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -3,7 +3,6 @@ package farm
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"symbiosched/internal/perfdb"
@@ -43,10 +42,9 @@ func relErr(a, b float64) float64 {
 // last event, and miss by 1e-4 to 1e-2.
 func TestShardedMatchesSerialFarm(t *testing.T) {
 	tab := smtTable(t)
-	sc := ShardConfig{Shards: 3, Workers: 2}
 	for _, disp := range []string{"random", "rr", "jsq", "li", "pd2"} {
 		cfg := Config{Lambda: 6.0, Jobs: 4000, SizeShape: 4, Seed: 11}
-		crossCheck(t, "oracle/"+disp, fleet(5, fcfsSpec(tab)), disp, w4(), cfg, sc)
+		crossCheck(t, "oracle/"+disp, fleet(5, fcfsSpec(tab)), disp, w4(), cfg)
 	}
 	for _, disp := range []string{"li", "pd2", "jsq"} {
 		for _, faults := range []bool{false, true} {
@@ -55,17 +53,17 @@ func TestShardedMatchesSerialFarm(t *testing.T) {
 				cfg.Faults = faultCfg()
 			}
 			desc := fmt.Sprintf("pairwise/%s/faults=%v", disp, faults)
-			crossCheck(t, desc, fleet(5, learnedSpec(tab, "pairwise")), disp, w4(), cfg, sc)
+			crossCheck(t, desc, fleet(5, learnedSpec(tab, "pairwise")), disp, w4(), cfg)
 		}
 	}
 }
 
-// TestShardedInvariantToShardConfig pins the engine's execution
-// contract: output is byte-identical across the full knob space — shard
-// counts, worker counts and slab lengths — because every server's float
-// arithmetic is a function of its own event times only. Learned fleets
-// (settled at every placement, with faults on) are held to the same
-// contract as the oracle fleet.
+// TestShardedInvariantToShardConfig pins that ShardConfig is ignored:
+// the shard count a caller still passes (the benchmark passes 64) gives
+// the Result of the zero ShardConfig byte for byte.
+// TestMetricsInvariantToShardConfig holds the metrics snapshot to the
+// same contract. Learned fleets (settled at every placement, with faults
+// on) are held to it as well as the oracle fleet.
 func TestShardedInvariantToShardConfig(t *testing.T) {
 	tab := smtTable(t)
 	cfg := Config{Lambda: 9.0, Jobs: 3000, SizeShape: 4, Seed: 13}
@@ -80,115 +78,25 @@ func TestShardedInvariantToShardConfig(t *testing.T) {
 		{"pairwise, faults on", fleet(7, learnedSpec(tab, "pairwise")), faulted},
 		{"sampler, faults on", fleet(7, learnedSpec(tab, "sampler")), faulted},
 	} {
-		var ref string
-		var refSC ShardConfig
-		for _, sc := range []ShardConfig{
-			{Shards: 1, Workers: 1},
-			{Shards: 1, Workers: runtime.NumCPU()},
-			{Shards: 3, Workers: 1},
-			{Shards: 3, Workers: runtime.NumCPU(), Slab: 0.05},
-			{Shards: 7, Workers: 2, Slab: 1.7},
-			{Shards: 64, Workers: runtime.NumCPU()}, // clamped to the server count
-		} {
+		var fps [2]string
+		for k, sc := range []ShardConfig{{}, {Shards: 64}} {
 			d, _ := NewDispatcher("pd2")
 			res, err := SimulateSharded(fc.specs, d, w4(), fc.cfg, sc)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", fc.name, sc, err)
 			}
-			fp := fmt.Sprintf("%+v", res)
-			if ref == "" {
-				ref, refSC = fp, sc
-				continue
-			}
-			if fp != ref {
-				t.Errorf("%s: result differs between %+v and %+v:\n%s\nvs\n%s", fc.name, refSC, sc, ref, fp)
-			}
+			fps[k] = fmt.Sprintf("%+v", res)
 		}
-	}
-}
-
-// TestShardedAutoSlabInvariance pins the adaptive slab mode (Slab == 0)
-// against the fixed-slab contract: auto caps come from an event-density
-// estimate, so the slab boundaries differ from any fixed setting — but
-// boundaries are unobservable, so the Result must stay byte-identical to
-// explicit slab lengths, to the uncapped +Inf escape hatch, and across
-// worker counts. Negative Slab clamps to auto. The bursty schedule's
-// troughs leave queued work draining far from the next arrival, which is
-// exactly where the adaptive cap engages.
-func TestShardedAutoSlabInvariance(t *testing.T) {
-	tab := smtTable(t)
-	specs := make([]ServerSpec, 9)
-	for i := range specs {
-		specs[i] = fcfsSpec(tab)
-	}
-	cfg := Config{
-		Lambda:    4.0,
-		Schedule:  []Phase{{Duration: 0.5, Rate: 30.0}, {Duration: 3, Rate: 0.2}},
-		Jobs:      4000,
-		SizeShape: 4,
-		Seed:      23,
-	}
-	var ref string
-	var refSC ShardConfig
-	for _, sc := range []ShardConfig{
-		{Shards: 5, Workers: 1, Slab: 0},
-		{Shards: 5, Workers: runtime.NumCPU(), Slab: 0},
-		{Shards: 5, Workers: 1, Slab: math.Inf(1)},
-		{Shards: 5, Workers: 1, Slab: 0.25},
-		{Shards: 5, Workers: 2, Slab: -3}, // negative clamps to auto
-	} {
-		d, _ := NewDispatcher("pd2")
-		res, err := SimulateSharded(specs, d, w4(), cfg, sc)
-		if err != nil {
-			t.Fatalf("%+v: %v", sc, err)
-		}
-		fp := fmt.Sprintf("%+v", res)
-		if ref == "" {
-			ref, refSC = fp, sc
-			continue
-		}
-		if fp != ref {
-			t.Errorf("auto-slab result differs between %+v and %+v:\n%s\nvs\n%s", refSC, sc, ref, fp)
-		}
-	}
-}
-
-// TestShardedDeterministicUnderGOMAXPROCS is the -race stress test: one
-// process runs the sharded farm at GOMAXPROCS 1, 2 and NumCPU and diffs
-// the full result structs. Under `go test -race` this also proves the
-// slab barrier publishes every shard's state safely.
-func TestShardedDeterministicUnderGOMAXPROCS(t *testing.T) {
-	tab := smtTable(t)
-	specs := make([]ServerSpec, 8)
-	for i := range specs {
-		specs[i] = fcfsSpec(tab)
-	}
-	cfg := Config{Lambda: 10.0, Jobs: 3000, SizeShape: 4, Seed: 17}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	var ref string
-	var refP int
-	for _, p := range []int{1, 2, runtime.NumCPU()} {
-		runtime.GOMAXPROCS(p)
-		d, _ := NewDispatcher("li")
-		res, err := SimulateSharded(specs, d, w4(), cfg, ShardConfig{Shards: 4, Workers: p})
-		if err != nil {
-			t.Fatalf("GOMAXPROCS=%d: %v", p, err)
-		}
-		fp := fmt.Sprintf("%+v", res)
-		if ref == "" {
-			ref, refP = fp, p
-			continue
-		}
-		if fp != ref {
-			t.Errorf("result differs between GOMAXPROCS=%d and %d:\n%s\nvs\n%s", refP, p, ref, fp)
+		if fps[0] != fps[1] {
+			t.Errorf("%s: result differs between ShardConfig{} and {Shards: 64}:\n%s\nvs\n%s",
+				fc.name, fps[0], fps[1])
 		}
 	}
 }
 
 // TestShardedHeterogeneousAndScheduled exercises the coordinator off the
 // happy path: heterogeneous tables and a bursty cyclic arrival schedule
-// with a zero-rate trough (slab boundaries straddle phase boundaries).
+// with a zero-rate trough.
 func TestShardedHeterogeneousAndScheduled(t *testing.T) {
 	uni := perfdb.Build(perfdb.UniformModel{K: 4}, program.Suite()[:4])
 	specs := []ServerSpec{fcfsSpec(smtTable(t)), fcfsSpec(uni), fcfsSpec(smtTable(t))}
@@ -199,26 +107,31 @@ func TestShardedHeterogeneousAndScheduled(t *testing.T) {
 		SizeShape: 4,
 		Seed:      19,
 	}
-	crossCheck(t, "hetero/li", specs, "li", w4(), cfg, ShardConfig{Shards: 3, Workers: 2, Slab: 0.5})
+	crossCheck(t, "hetero/li", specs, "li", w4(), cfg)
 }
 
-// FuzzShardSlabExchange fuzzes the shard-boundary exchange the way the
-// heap is fuzzed against a reference scan: random slab lengths, shard
-// counts and bursty schedules (arrival bursts straddling slab
-// boundaries) against the lockstep reference loop, plus the engine's
-// own invariance between worker counts 1 and NumCPU.
+// FuzzShardSlabExchange fuzzes the coordinator's hand-off between the
+// arrival stream and the fleet's one event heap with faults off
+// (FuzzFaultInterleavings covers it with faults on): random bursty
+// schedules, whose bursts queue work that drains through the troughs,
+// on oracle or pairwise-learned fleets against the lockstep reference
+// loop, plus byte-identity between the zero ShardConfig and a random,
+// ignored, shard count.
 func FuzzShardSlabExchange(f *testing.F) {
-	f.Add(uint64(1), uint16(0), uint8(2), uint8(4))
-	f.Add(uint64(7), uint16(250), uint8(3), uint8(16))
-	f.Add(uint64(42), uint16(10), uint8(5), uint8(1))
-	f.Add(uint64(9000), uint16(65535), uint8(1), uint8(7))
-	f.Fuzz(func(t *testing.T, seed uint64, slabMilli uint16, shards, burst uint8) {
+	f.Add(uint64(1), uint8(2), uint8(4), false)
+	f.Add(uint64(7), uint8(3), uint8(16), true)
+	f.Add(uint64(42), uint8(5), uint8(1), false)
+	f.Add(uint64(9000), uint8(1), uint8(7), true)
+	f.Fuzz(func(t *testing.T, seed uint64, shards, burst uint8, learned bool) {
 		tab := smtTable(t)
-		specs := []ServerSpec{fcfsSpec(tab), fcfsSpec(tab), fcfsSpec(tab), fcfsSpec(tab)}
+		specs := fleet(4, fcfsSpec(tab))
+		if learned {
+			specs = fleet(4, learnedSpec(tab, "pairwise"))
+		}
 		cfg := Config{Lambda: 5.0, Jobs: 600, SizeShape: 4, Seed: seed%1024 + 1}
 		if burst > 0 {
-			// A cyclic burst/trough schedule whose bursts straddle slab
-			// boundaries: rate 1+burst for half a unit, silence after.
+			// A cyclic burst/trough schedule: rate 1+burst for half a
+			// unit, a trickle after.
 			cfg.Schedule = []Phase{
 				{Duration: 0.5, Rate: float64(burst) + 1},
 				{Duration: 0.25 + float64(seed%7)/4, Rate: 0.5},
@@ -229,57 +142,48 @@ func FuzzShardSlabExchange(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := ShardConfig{
-			Shards:  int(shards%8) + 1,
-			Workers: 1,
-			Slab:    float64(slabMilli) / 1000,
-		}
 		d2, _ := NewDispatcher("li")
-		sharded, err := SimulateSharded(specs, d2, w4(), cfg, sc)
+		engine, err := SimulateSharded(specs, d2, w4(), cfg, ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Event-order equivalence with the reference loop: same events,
 		// same dispatch stream, metrics equal to float tolerance.
-		if sharded.Completed != serial.Completed || sharded.Counted != serial.Counted {
-			t.Fatalf("counts differ: sharded %d/%d vs serial %d/%d",
-				sharded.Completed, sharded.Counted, serial.Completed, serial.Counted)
+		if engine.Completed != serial.Completed || engine.Counted != serial.Counted {
+			t.Fatalf("counts differ: engine %d/%d vs reference %d/%d",
+				engine.Completed, engine.Counted, serial.Completed, serial.Counted)
 		}
 		for i := range serial.PerServer {
-			if sharded.PerServer[i].Dispatched != serial.PerServer[i].Dispatched {
-				t.Fatalf("server %d dispatched %d (sharded) vs %d (serial)",
-					i, sharded.PerServer[i].Dispatched, serial.PerServer[i].Dispatched)
+			if engine.PerServer[i].Dispatched != serial.PerServer[i].Dispatched {
+				t.Fatalf("server %d dispatched %d (engine) vs %d (reference)",
+					i, engine.PerServer[i].Dispatched, serial.PerServer[i].Dispatched)
 			}
 		}
-		if relErr(sharded.MeanTurnaround, serial.MeanTurnaround) > 1e-6 ||
-			relErr(sharded.Elapsed, serial.Elapsed) > 1e-6 ||
-			relErr(sharded.Throughput, serial.Throughput) > 1e-6 {
-			t.Fatalf("metrics diverge:\nsharded %+v\nserial  %+v", sharded, serial)
+		if relErr(engine.MeanTurnaround, serial.MeanTurnaround) > 1e-6 ||
+			relErr(engine.Elapsed, serial.Elapsed) > 1e-6 ||
+			relErr(engine.Throughput, serial.Throughput) > 1e-6 {
+			t.Fatalf("metrics diverge:\nengine    %+v\nreference %+v", engine, serial)
 		}
-		// Bit-identity across worker counts for the same slab geometry.
 		d3, _ := NewDispatcher("li")
-		wide, err := SimulateSharded(specs, d3, w4(), cfg, ShardConfig{
-			Shards: sc.Shards, Workers: runtime.NumCPU(), Slab: sc.Slab,
-		})
+		sharded, err := SimulateSharded(specs, d3, w4(), cfg, ShardConfig{Shards: int(shards) + 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a, b := fmt.Sprintf("%+v", sharded), fmt.Sprintf("%+v", wide); a != b {
-			t.Fatalf("workers 1 vs NumCPU differ:\n%s\nvs\n%s", a, b)
+		if a, b := fmt.Sprintf("%+v", engine), fmt.Sprintf("%+v", sharded); a != b {
+			t.Fatalf("ShardConfig{} vs {Shards: %d} differ:\n%s\nvs\n%s", int(shards)+1, a, b)
 		}
 	})
 }
 
-// TestShardedWarmupExceedsJobs is TestWarmupExceedsJobs across a
-// partitioned fleet: with several servers split over shards advanced by
-// more than one worker, a warmup longer than the run still counts
+// TestShardedWarmupExceedsJobs is TestWarmupExceedsJobs across a fleet:
+// with several servers, a warmup longer than the run still counts
 // nothing, and every job still completes on some server.
 func TestShardedWarmupExceedsJobs(t *testing.T) {
 	tab := uniformTable(1)
 	specs := []ServerSpec{fcfsSpec(tab), fcfsSpec(tab), fcfsSpec(tab), fcfsSpec(tab)}
 	d, _ := NewDispatcher("rr")
 	res, err := SimulateSharded(specs, d, workload.Workload{0},
-		Config{Lambda: 0.5, Jobs: 50, Warmup: 100, SizeShape: 1}, ShardConfig{Shards: 3, Workers: 2})
+		Config{Lambda: 0.5, Jobs: 50, Warmup: 100, SizeShape: 1}, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,10 @@ type SweepResult struct {
 	TurnaroundStd float64
 	// Runs holds the individual replications, in seed order.
 	Runs []Replication
-	// Metrics and EngineStats are the replications' snapshots merged in
-	// replication order (nil unless the runs were instrumented). Like
-	// the scalar means, they are bit-identical at any parallelism.
-	Metrics     *metrics.Snapshot
-	EngineStats *metrics.Snapshot
+	// Metrics is the replications' snapshots merged in replication
+	// order (nil unless the runs were instrumented). Like the scalar
+	// means, it is bit-identical at any parallelism.
+	Metrics *metrics.Snapshot
 }
 
 // ReplicationSeed derives the i-th replication's seed from a base seed.
@@ -70,12 +69,6 @@ func Aggregate(runs []Replication) *SweepResult {
 				out.Metrics = &metrics.Snapshot{}
 			}
 			out.Metrics.Merge(r.Metrics)
-		}
-		if r.EngineStats != nil {
-			if out.EngineStats == nil {
-				out.EngineStats = &metrics.Snapshot{}
-			}
-			out.EngineStats.Merge(r.EngineStats)
 		}
 		turn.Add(r.MeanTurnaround)
 		p50.Add(r.P50Turnaround)
@@ -120,15 +113,14 @@ func Aggregate(runs []Replication) *SweepResult {
 }
 
 // Replicate runs one replication of the farm configuration with the i-th
-// seed derived from cfg.Seed — the unit of work grid sweeps fan out — at
-// the engine's default execution settings.
+// seed derived from cfg.Seed — the unit of work grid sweeps fan out.
 func Replicate(specs []ServerSpec, disp string, w workload.Workload, cfg Config, i int) (Replication, error) {
 	return ReplicateSharded(specs, disp, w, cfg, ShardConfig{}, i)
 }
 
-// ReplicateSharded is Replicate under the execution settings sc: the
-// same dispatcher construction and per-replication seed derivation, run
-// by SimulateSharded. Its Replication is byte-identical at any sc.
+// ReplicateSharded is Replicate with the ignored ShardConfig that
+// SimulateSharded takes: the same dispatcher construction and
+// per-replication seed derivation, run by SimulateSharded.
 func ReplicateSharded(specs []ServerSpec, disp string, w workload.Workload, cfg Config, sc ShardConfig, i int) (Replication, error) {
 	d, err := NewDispatcher(disp)
 	if err != nil {

@@ -7,7 +7,8 @@
 // Determinism is the whole design: every server's process runs on its
 // own RNG, seeded from (run seed, server index) alone — never from a
 // shared stream — so the fault trajectory of server i is independent of
-// farm size, engine (serial or sharded), shard layout and parallelism.
+// farm size, engine (the farm engine or the tests' lockstep reference)
+// and parallelism.
 // Two runs of the same seed see the same crashes at the same times, and
 // comparing checkpoint policies or dispatchers under churn is a
 // common-random-numbers comparison.
