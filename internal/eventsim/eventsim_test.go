@@ -19,7 +19,7 @@ var (
 	tab  *perfdb.Table
 )
 
-func table(t *testing.T) *perfdb.Table {
+func table(t testing.TB) *perfdb.Table {
 	t.Helper()
 	once.Do(func() {
 		suite := program.Suite()

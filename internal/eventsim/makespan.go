@@ -3,6 +3,7 @@ package eventsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"symbiosched/internal/perfdb"
 	"symbiosched/internal/sched"
@@ -42,6 +43,9 @@ type MakespanResult struct {
 // Makespan runs a batch of cfg.Batch jobs of uniformly random types from w
 // under scheduler s, to completion, and reports the makespan.
 func Makespan(t *perfdb.Table, w workload.Workload, s sched.Scheduler, cfg MakespanConfig) (*MakespanResult, error) {
+	if err := CheckJobSizes(cfg.JobSize, cfg.SizeShape); err != nil {
+		return nil, fmt.Errorf("eventsim: %w", err)
+	}
 	k := t.K()
 	if cfg.Batch <= 0 {
 		cfg.Batch = 2 * k
@@ -93,15 +97,18 @@ func Makespan(t *perfdb.Table, w workload.Workload, s sched.Scheduler, cfg Makes
 		if observer != nil {
 			observer.Observe(canon, dt)
 		}
-		var kept []*sched.Job
-		for _, j := range system {
-			if j.Remaining > eps {
-				kept = append(kept, j)
+		// Only running jobs complete: a waiting job holds its work,
+		// however little, until it runs.
+		kept := 0
+		for i, j := range system {
+			if j.Remaining <= eps && slices.Contains(running, i) {
+				turnaround += now
 				continue
 			}
-			turnaround += now
+			system[kept] = j
+			kept++
 		}
-		system = kept
+		system = system[:kept]
 	}
 	return &MakespanResult{
 		Makespan:         now,

@@ -55,26 +55,44 @@ type Server struct {
 	// a large farm's per-job misses down.
 	failed     bool
 	tableRates bool                // rates is table itself or online.Oracle over it
+	fcfs       bool                // sched is FCFS: the oldest jobs run, no Select call
 	jobs       []*sched.Job        // queue in arrival (ID) order
 	entry      *perfdb.Entry       // table entry of canon; nil when idle or stale
 	table      *perfdb.Table       // ground-truth rates
 	met        *ServerMetrics      // nil: uninstrumented
-	running    []int               // indices into jobs, valid after Reschedule
+	running    []*sched.Job        // the running jobs, valid after Reschedule
 	ttc        float64             // cached time to next completion (+Inf when idle/stale)
 	canon      workload.Coschedule // canonical coschedule scratch of the running jobs
 
 	// Warm: the rest of what Add, Reschedule and Advance touch.
 	sched             sched.Scheduler
 	schedObs          sched.Observer // sched, when it observes time; else nil
+	q                 *sched.Summary // queue summary sched decides from; nil: Select over jobs
 	obs               online.IntervalObserver
 	busy, empty, work numeric.KahanSum
 	dispatched        int
 	done              []*sched.Job // completion scratch returned by Advance
 
-	rates    online.RateSource
-	prog     []float64           // scratch per-slot progress for the observer
-	margCand workload.Coschedule // candidate scratch for learned-rate probes
-	down     numeric.KahanSum    // time spent failed (neither busy nor empty)
+	rates online.RateSource
+	learn *learnScratch    // scratch of learning servers; nil until first used
+	down  numeric.KahanSum // time spent failed (neither busy nor empty)
+}
+
+// learnScratch is the scratch only a server that learns its rates
+// touches: the per-slot progress handed to its interval observer and the
+// candidate coschedule of a learned-rate marginal probe. Behind one
+// pointer, it spares every other server two slice headers.
+type learnScratch struct {
+	prog     []float64
+	margCand workload.Coschedule
+}
+
+// scratch returns the learning scratch, allocating it at first use.
+func (sv *Server) scratch() *learnScratch {
+	if sv.learn == nil {
+		sv.learn = new(learnScratch)
+	}
+	return sv.learn
 }
 
 // NewServer returns an empty server over the given table and scheduler:
@@ -93,14 +111,25 @@ func NewServer(t *perfdb.Table, s sched.Scheduler) *Server {
 // outgrowing its share appends into fresh memory of its own instead of
 // its neighbour's. A fleet of any size thus costs three allocations, and
 // servers that run within their shares never grow them.
+//
+// How a server decides is fixed here, once, by its scheduler's concrete
+// type. An unwrapped MAXIT, SRPT or MAXTP decides from a queue summary
+// the server keeps up to date at every Add, Advance and Fail (the
+// summaries are one more slab); an FCFS server runs its oldest jobs
+// without a call; any other scheduler, wrappers included, is handed the
+// queue through Select.
 func NewServers(tables []*perfdb.Table, scheds []sched.Scheduler) []Server {
-	contexts := 0
-	for _, t := range tables {
+	contexts, summaries := 0, 0
+	for i, t := range tables {
 		contexts += t.K()
+		if sched.Summarizes(scheds[i]) {
+			summaries++
+		}
 	}
 	fleet := make([]Server, len(tables))
 	jobs := make([]*sched.Job, 3*contexts) // per server: 2K queue, then K completions
 	canon := make(workload.Coschedule, contexts)
+	qs := make([]sched.Summary, summaries)
 	off := 0
 	for i, t := range tables {
 		k := t.K()
@@ -113,6 +142,12 @@ func NewServers(tables []*perfdb.Table, scheds []sched.Scheduler) []Server {
 		sv.canon = canon[off : off : off+k]
 		if o, ok := scheds[i].(sched.Observer); ok {
 			sv.schedObs = o
+		}
+		if _, ok := scheds[i].(*sched.FCFS); ok {
+			sv.fcfs = true
+		} else if sched.Summarizes(scheds[i]) {
+			sv.q, qs = &qs[0], qs[1:]
+			sv.q.Attach(scheds[i])
 		}
 		off += k
 	}
@@ -190,12 +225,13 @@ func (sv *Server) MarginalInstTP(b int) float64 {
 		sv.met.MargMiss.Inc()
 	}
 	// canon is sorted; inserting b keeps it canonical.
-	sv.margCand = append(sv.margCand[:0], sv.canon...)
-	sv.margCand = append(sv.margCand, b)
-	for i := len(sv.margCand) - 1; i > 0 && sv.margCand[i-1] > b; i-- {
-		sv.margCand[i], sv.margCand[i-1] = sv.margCand[i-1], sv.margCand[i]
+	ls := sv.scratch()
+	cand := append(append(ls.margCand[:0], sv.canon...), b)
+	for i := len(cand) - 1; i > 0 && cand[i-1] > b; i-- {
+		cand[i], cand[i-1] = cand[i-1], cand[i]
 	}
-	gain := sv.rates.InstTP(sv.margCand)
+	ls.margCand = cand
+	gain := sv.rates.InstTP(cand)
 	if len(sv.canon) > 0 {
 		gain -= sv.rates.InstTP(sv.canon)
 	}
@@ -207,6 +243,9 @@ func (sv *Server) MarginalInstTP(b int) float64 {
 // order — the arrival-order invariant the schedulers rely on.
 func (sv *Server) Add(j *sched.Job) {
 	sv.jobs = append(sv.jobs, j)
+	if sv.q != nil {
+		sv.q.Add(j)
+	}
 	sv.dispatched++
 }
 
@@ -222,23 +261,34 @@ func (sv *Server) Reschedule() error {
 		sv.clearRunning()
 		return nil
 	}
-	running := sv.sched.Select(sv.jobs, sv.table.K())
-	if len(running) == 0 || len(running) > sv.table.K() {
-		return fmt.Errorf("eventsim: scheduler %s selected %d jobs (k=%d, system=%d)",
-			sv.sched.Name(), len(running), sv.table.K(), len(sv.jobs))
+	k := sv.table.K()
+	switch {
+	case sv.q != nil:
+		sv.running = sv.q.Select(k)
+	case sv.fcfs:
+		n := min(k, len(sv.jobs))
+		sv.running = sv.jobs[:n:n]
+	default:
+		// The server's own buffer: this path never aliases the queue.
+		sv.running = sv.running[:0]
+		for _, ji := range sv.sched.Select(sv.jobs, k) {
+			sv.running = append(sv.running, sv.jobs[ji])
+		}
 	}
-	sv.running = running
+	if len(sv.running) == 0 || len(sv.running) > k {
+		return fmt.Errorf("eventsim: scheduler %s selected %d jobs (k=%d, system=%d)",
+			sv.sched.Name(), len(sv.running), k, len(sv.jobs))
+	}
 	sv.canon = sv.canon[:0]
-	for _, ji := range running {
-		sv.canon = append(sv.canon, sv.jobs[ji].Type)
+	for _, j := range sv.running {
+		sv.canon = append(sv.canon, j.Type)
 	}
 	slices.Sort(sv.canon)
 	// One keyed probe resolves every rate for the interval.
 	sv.entry = sv.table.EntryByKey(perfdb.Key(sv.canon))
 	wipc := sv.entry.TypeWIPCs()
 	dt := math.Inf(1)
-	for _, ji := range running {
-		j := sv.jobs[ji]
+	for _, j := range sv.running {
 		if d := j.Remaining / wipc[j.Type]; d < dt {
 			dt = d
 		}
@@ -255,9 +305,11 @@ func (sv *Server) TimeToNextCompletion() float64 { return sv.ttc }
 // Advance progresses the running jobs by dt at their true per-coschedule
 // rates, accumulates the busy/empty/work integrals, reports the interval
 // to the installed observer and the scheduler, and removes and returns
-// the jobs that completed (in queue order). The returned slice is
-// per-server scratch, valid until the next Advance. When jobs complete
-// the server must be rescheduled before the next event.
+// the jobs that completed (in queue order): the running jobs left with at
+// most the completion epsilon of work. A waiting job never completes,
+// however little work it holds. The returned slice is per-server
+// scratch, valid until the next Advance. When jobs complete the server
+// must be rescheduled before the next event.
 func (sv *Server) Advance(dt float64) []*sched.Job {
 	if sv.met != nil {
 		sv.met.advance(len(sv.jobs), len(sv.running), dt)
@@ -272,8 +324,8 @@ func (sv *Server) Advance(dt float64) []*sched.Job {
 	}
 	sv.busy.Add(float64(len(sv.running)) * dt)
 	next := math.Inf(1)
-	for _, ji := range sv.running {
-		j := sv.jobs[ji]
+	sv.done = sv.done[:0]
+	for _, j := range sv.running {
 		rate := sv.entry.TypeWIPCs()[j.Type]
 		adv := rate * dt
 		j.Remaining -= adv
@@ -281,43 +333,61 @@ func (sv *Server) Advance(dt float64) []*sched.Job {
 		if d := j.Remaining / rate; d < next {
 			next = d
 		}
+		if j.Remaining <= eps {
+			sv.done = append(sv.done, j)
+		}
 	}
 	sv.ttc = next
 	if sv.obs != nil && dt > 0 && len(sv.canon) > 0 {
 		wipc := sv.entry.TypeWIPCs()
-		sv.prog = sv.prog[:0]
+		ls := sv.scratch()
+		ls.prog = ls.prog[:0]
 		for _, typ := range sv.canon {
-			sv.prog = append(sv.prog, wipc[typ]*dt)
+			ls.prog = append(ls.prog, wipc[typ]*dt)
 		}
-		sv.obs.ObserveInterval(sv.canon, dt, sv.prog)
+		sv.obs.ObserveInterval(sv.canon, dt, ls.prog)
 	}
 	if sv.schedObs != nil {
 		sv.schedObs.Observe(sv.canon, dt)
 	}
-	sv.done = sv.done[:0]
-	kept := 0
-	for _, j := range sv.jobs {
-		if j.Remaining > eps {
-			sv.jobs[kept] = j
-			kept++
-			continue
-		}
-		sv.done = append(sv.done, j)
+	if sv.q != nil {
+		sv.q.Progress()
 	}
 	if len(sv.done) > 0 {
-		for i := kept; i < len(sv.jobs); i++ {
-			sv.jobs[i] = nil // no stale pointer to a job the stream may recycle
-		}
-		sv.jobs = sv.jobs[:kept]
-		sv.clearRunning() // stale until the next Reschedule
+		sv.complete()
 	}
 	return sv.done
 }
 
+// complete removes the finished jobs collected in done from the queue
+// and the summary, and puts done in queue order, which is ID order. The
+// server is stale until its next Reschedule.
+func (sv *Server) complete() {
+	if sv.q != nil {
+		sv.q.Remove(sv.done)
+	}
+	done := sv.done
+	for i := 1; i < len(done); i++ {
+		for j := i; j > 0 && done[j-1].ID > done[j].ID; j-- {
+			done[j-1], done[j] = done[j], done[j-1]
+		}
+	}
+	jobs := sv.jobs
+	for _, j := range done {
+		i := slices.Index(jobs, j)
+		copy(jobs[i:], jobs[i+1:])
+		jobs[len(jobs)-1] = nil // no stale pointer to a job the stream may recycle
+		jobs = jobs[:len(jobs)-1]
+	}
+	sv.jobs = jobs
+	sv.clearRunning()
+}
+
 // clearRunning forgets the running coschedule: the server is idle, or
-// stale until its next Reschedule.
+// stale until its next Reschedule. The running slice keeps its storage
+// for the next selection.
 func (sv *Server) clearRunning() {
-	sv.running, sv.canon, sv.entry = nil, sv.canon[:0], nil
+	sv.running, sv.canon, sv.entry = sv.running[:0], sv.canon[:0], nil
 	sv.ttc = math.Inf(1)
 }
 
@@ -335,10 +405,11 @@ func (sv *Server) Up() bool { return !sv.failed }
 func (sv *Server) Fail() []*sched.Job {
 	sv.failed = true
 	sv.done = append(sv.done[:0], sv.jobs...)
-	for i := range sv.jobs {
-		sv.jobs[i] = nil // no stale pointer to a job the stream may recycle
-	}
+	clear(sv.jobs) // no stale pointer to a job the stream may recycle
 	sv.jobs = sv.jobs[:0]
+	if sv.q != nil {
+		sv.q.Clear()
+	}
 	sv.clearRunning()
 	return sv.done
 }

@@ -278,3 +278,38 @@ func TestNewServersSlabIsolation(t *testing.T) {
 		t.Fatalf("victims %v after the neighbours completed, want [2 3 4 5 6]", got)
 	}
 }
+
+// TestOnlyRunningJobsComplete pins that a waiting job never completes,
+// however little work it holds: on a one-context FCFS server a job of
+// 1e-12 work queued behind a unit job waits through an advance — all of
+// whose work is the running job's — and completes only once it runs.
+func TestOnlyRunningJobsComplete(t *testing.T) {
+	k1 := perfdb.Build(perfdb.UniformModel{K: 1}, program.Suite()[:1])
+	sv := NewServer(k1, &sched.FCFS{})
+	unit := &sched.Job{ID: 0, Size: 1, Remaining: 1}
+	tiny := &sched.Job{ID: 1, Size: 1e-12, Remaining: 1e-12}
+	sv.Add(unit)
+	sv.Add(tiny)
+	if err := sv.Reschedule(); err != nil {
+		t.Fatal(err)
+	}
+	if done := sv.Advance(0.25); len(done) != 0 {
+		t.Fatalf("Advance(0.25) completed %d jobs, want none (the tiny job is waiting)", len(done))
+	}
+	if sv.JobsInSystem() != 2 || sv.WorkDone() != 0.25 || tiny.Remaining != 1e-12 {
+		t.Fatalf("after Advance(0.25): %d jobs, work %v, tiny job left %v; want 2, 0.25, 1e-12",
+			sv.JobsInSystem(), sv.WorkDone(), tiny.Remaining)
+	}
+	if done := sv.Advance(sv.TimeToNextCompletion()); len(done) != 1 || done[0] != unit {
+		t.Fatalf("the unit job's completion returned %v", done)
+	}
+	if err := sv.Reschedule(); err != nil {
+		t.Fatal(err)
+	}
+	if done := sv.Advance(sv.TimeToNextCompletion()); len(done) != 1 || done[0] != tiny {
+		t.Fatalf("the tiny job's completion returned %v", done)
+	}
+	if sv.JobsInSystem() != 0 {
+		t.Fatalf("%d jobs left, want 0", sv.JobsInSystem())
+	}
+}

@@ -405,42 +405,50 @@ func TestJSQBeatsRandomNearSaturation(t *testing.T) {
 
 // TestNonFiniteConfigRejected pins that a non-finite rate, job size, SLO
 // or schedule phase, or a negative size shape, is an error from the farm
-// engine and from eventsim.Latency — never a panic (an infinite mean
-// size used to reach stats.Exp with rate 0), a silent empty result, or a
-// run on NaN arithmetic.
+// engine, from eventsim.Latency and, for job sizes, from
+// eventsim.Makespan — never a panic (an infinite mean size used to reach
+// stats.Exp with rate 0), a silent empty or infinite result, or a run on
+// NaN arithmetic.
 func TestNonFiniteConfigRejected(t *testing.T) {
 	tab := smtTable(t)
 	specs := []ServerSpec{fcfsSpec(tab), fcfsSpec(tab)}
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
-		desc    string
-		cfg     Config
-		latency bool // the case applies to eventsim.Latency too
+		desc     string
+		cfg      Config
+		latency  bool // the case applies to eventsim.Latency too
+		makespan bool // and to eventsim.Makespan, which has no arrival rate
 	}{
-		{"NaN lambda", Config{Lambda: nan}, true},
-		{"infinite lambda", Config{Lambda: inf}, true},
-		{"NaN job size", Config{Lambda: 1, JobSize: nan}, true},
-		{"infinite job size, deterministic", Config{Lambda: 1, JobSize: inf}, true},
-		{"infinite job size, exponential", Config{Lambda: 1, JobSize: inf, SizeShape: 1}, true},
-		{"infinite job size, Erlang-4", Config{Lambda: 1, JobSize: inf, SizeShape: 4}, true},
-		{"negative infinite job size", Config{Lambda: 1, JobSize: -inf}, true},
-		{"negative size shape", Config{Lambda: 1, SizeShape: -1}, true},
-		{"NaN SLO", Config{Lambda: 1, SLO: nan}, false},
-		{"infinite SLO", Config{Lambda: 1, SLO: inf}, false},
-		{"NaN phase rate", Config{Lambda: 1, Schedule: []Phase{{Duration: 1, Rate: nan}, {Duration: 1, Rate: 1}}}, false},
-		{"infinite phase duration", Config{Lambda: 1, Schedule: []Phase{{Duration: inf, Rate: 1}}}, false},
+		{"NaN lambda", Config{Lambda: nan}, true, false},
+		{"infinite lambda", Config{Lambda: inf}, true, false},
+		{"NaN job size", Config{Lambda: 1, JobSize: nan}, true, true},
+		{"NaN job size, Erlang-4", Config{Lambda: 1, JobSize: nan, SizeShape: 4}, true, true},
+		{"infinite job size, deterministic", Config{Lambda: 1, JobSize: inf}, true, true},
+		{"infinite job size, exponential", Config{Lambda: 1, JobSize: inf, SizeShape: 1}, true, true},
+		{"infinite job size, Erlang-4", Config{Lambda: 1, JobSize: inf, SizeShape: 4}, true, true},
+		{"negative infinite job size", Config{Lambda: 1, JobSize: -inf}, true, true},
+		{"negative size shape", Config{Lambda: 1, SizeShape: -1}, true, true},
+		{"NaN SLO", Config{Lambda: 1, SLO: nan}, false, false},
+		{"infinite SLO", Config{Lambda: 1, SLO: inf}, false, false},
+		{"NaN phase rate", Config{Lambda: 1, Schedule: []Phase{{Duration: 1, Rate: nan}, {Duration: 1, Rate: 1}}}, false, false},
+		{"infinite phase duration", Config{Lambda: 1, Schedule: []Phase{{Duration: inf, Rate: 1}}}, false, false},
 	}
 	for _, tc := range cases {
 		tc.cfg.Jobs, tc.cfg.Seed = 100, 1
 		if _, err := SimulateSharded(specs, &RoundRobin{}, w4(), tc.cfg, ShardConfig{}); err == nil {
 			t.Errorf("%s: SimulateSharded returned no error", tc.desc)
 		}
-		if !tc.latency {
-			continue
+		if tc.latency {
+			lcfg := eventsim.LatencyConfig{Lambda: tc.cfg.Lambda, Jobs: 100, JobSize: tc.cfg.JobSize, SizeShape: tc.cfg.SizeShape}
+			if _, err := eventsim.Latency(tab, w4(), &sched.FCFS{}, lcfg); err == nil {
+				t.Errorf("%s: eventsim.Latency returned no error", tc.desc)
+			}
 		}
-		lcfg := eventsim.LatencyConfig{Lambda: tc.cfg.Lambda, Jobs: 100, JobSize: tc.cfg.JobSize, SizeShape: tc.cfg.SizeShape}
-		if _, err := eventsim.Latency(tab, w4(), &sched.FCFS{}, lcfg); err == nil {
-			t.Errorf("%s: eventsim.Latency returned no error", tc.desc)
+		if tc.makespan {
+			mcfg := eventsim.MakespanConfig{Batch: 8, JobSize: tc.cfg.JobSize, SizeShape: tc.cfg.SizeShape, Seed: 1}
+			if _, err := eventsim.Makespan(tab, w4(), &sched.FCFS{}, mcfg); err == nil {
+				t.Errorf("%s: eventsim.Makespan returned no error", tc.desc)
+			}
 		}
 	}
 }

@@ -84,3 +84,49 @@ func BenchmarkCalibration(b *testing.B) {
 		calibSink += x
 	}
 }
+
+// BenchmarkSRPTWalk times SRPT's two walks, pruned and full, over
+// queues grouped by how many candidates a K=4 decision has, which is
+// what srptPruneFrom chooses by. Queues are 2 to 32 jobs deep over the
+// 4-type mini table, with Erlang-4 sizes part done, as in fig5.
+func BenchmarkSRPTWalk(b *testing.B) {
+	tb := table(b)
+	const k = 4
+	rng := stats.NewRNG(5)
+	byCands := map[int][][]*Job{}
+	var e enumerator
+	for id := 0; id < 100_000; {
+		js := make([]*Job, 2+rng.Intn(31))
+		for i := range js {
+			size := 0.0
+			for range 4 {
+				size += rng.Exp(4)
+			}
+			js[i] = &Job{ID: id, Type: rng.Intn(4), Size: size, Remaining: size * rng.Float64()}
+			id++
+		}
+		var q Summary
+		q.build(js, true)
+		e.reset(&q)
+		c := e.candidates(min(k, len(js)), 1<<30)
+		byCands[c] = append(byCands[c], js)
+	}
+	for _, c := range []int{2, 4, 8, 12, 16, 20, 24, 30, 35} {
+		for _, prune := range []bool{false, true} {
+			walk := "full"
+			if prune {
+				walk = "pruned"
+			}
+			b.Run(fmt.Sprintf("cands=%d/%s", c, walk), func(b *testing.B) {
+				s := &SRPT{Rates: tb}
+				queues := byCands[c]
+				for i := 0; i < b.N; i++ {
+					js := queues[i%len(queues)]
+					s.sum.build(js, true)
+					s.enum.reset(&s.sum)
+					s.walk(&s.sum, min(k, len(js)), prune)
+				}
+			})
+		}
+	}
+}

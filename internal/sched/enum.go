@@ -2,18 +2,17 @@ package sched
 
 import (
 	"math"
-	"sort"
 
 	"symbiosched/internal/perfdb"
 	"symbiosched/internal/workload"
 )
 
 // enumerator is the allocation-free candidate machinery the
-// knowledge-driven schedulers own: it groups a job queue by type, then
-// walks every feasible type-count multiset of a given size in the exact
+// knowledge-driven schedulers own: over a queue Summary it walks every
+// feasible type-count multiset of a given size in the exact
 // lexicographic order the old recursive enumerator produced (count vector
 // ascending, types ascending), materialising nothing until the winner is
-// known. All buffers are reused across Select calls, so steady-state
+// known. All buffers are reused across decisions, so steady-state
 // enumeration performs zero heap allocations.
 //
 // The enumeration order is load-bearing: MAXIT breaks instantaneous-
@@ -26,38 +25,28 @@ import (
 // the surviving sequence of best updates is identical to the full walk's
 // (see DESIGN.md, "Hot path & memoization").
 type enumerator struct {
-	jobs []*Job // the queue being enumerated, set by prepare
-
-	idx    []int // all job indices, sorted by (type, preference)
-	byRem  bool  // preference inside a type: remaining-then-ID, else ID
-	types  []int // distinct types present, ascending
-	grpOff []int // grpOff[i]..grpOff[i+1] bounds type i's run inside idx
-	tcnt   []int // counting-sort scratch, indexed by job type
-
-	// Dense per-queue-position mirrors of the job fields the hot loops
-	// touch, filled by prepare's single pass over the job pointers so the
-	// grouping and scoring loops read flat float64/int arrays instead of
-	// chasing a heap pointer per probe. rem is indexed like jobs; remAt
-	// mirrors it aligned with idx (remAt[i] == rem[idx[i]]), so scoring
-	// walks group runs sequentially. Both are only filled when byRem.
-	tbuf  []int
-	rem   []float64
-	remAt []float64
+	// The decided summary's types and counts, set by reset. The
+	// enumerator keeps no pointer to the summary itself, which would keep
+	// a finished server's jobs alive.
+	types []int // distinct types present, ascending
+	caps  []int // available jobs per distinct type
 
 	counts []int               // current candidate: count per distinct type
-	caps   []int               // available jobs per distinct type
+	ways   []int               // candidates' counting scratch
 	best   []int               // winning count vector (copied on improvement)
 	cos    workload.Coschedule // scratch candidate multiset, sorted
 	cosKey uint64              // perfdb.Key(cos), maintained by buildCos
-	out    []int               // selection returned to the caller
 
-	// Branch-and-bound state, valid after setBounds (and setRemBounds for
-	// SRPT) until the next prepare. m is the candidate size fixed by
-	// firstCandidate.
+	// Branch-and-bound state, valid after setBounds (and setHeads and
+	// setRemBounds for SRPT) until the next reset. m is the candidate
+	// size. The head arrays hrem and cumDiv hold m entries per type
+	// slot: a candidate takes at most m jobs of a type, the first ones
+	// of its group.
 	m      int
 	ub     []float64 // ub[ti]: admissible per-slot rate bound for types[ti]
 	sufMax []float64 // sufMax[p]: max of ub[p:], sufMax[len(types)] = 0
-	cumDiv []float64 // aligned with idx: per-group prefix sums of Remaining, pre-divided by the group's rate bound
+	hrem   []float64 // hrem[ti*m+j]: Remaining of slot ti's j-th job, j < min(caps[ti], m)
+	cumDiv []float64 // cumDiv[ti*m+j]: prefix sums of hrem over slot ti, pre-divided by its rate bound
 	sufQ   []float64 // sufQ[p*(m+1)+r]: cost floor for r slots placed in groups >= p
 	qbuf   []float64 // merge scratch for building sufQ
 
@@ -73,8 +62,8 @@ type enumerator struct {
 
 	// Dense-rate cache: a direct-mapped (key -> TypeWIPCsByKey result)
 	// table serving repeated candidate probes without the map lookup.
-	// Entries survive across Select calls for as long as the source's
-	// rate epoch stands — the same soundness argument as MAXIT's decision
+	// Entries survive across decisions for as long as the source's rate
+	// epoch stands — the same soundness argument as MAXIT's decision
 	// memo — and rcKey 0 marks an empty slot (real keys are never 0:
 	// perfdb keys carry a leading length marker).
 	rcKey   [1 << rcBits]uint64
@@ -88,148 +77,9 @@ type enumerator struct {
 // per-enumerator scratch.
 const rcBits = 6
 
-// Len, Less and Swap implement sort.Interface over idx so the sparse-type
-// fallback of prepare can sort without any per-call closure or interface
-// allocation.
-func (e *enumerator) Len() int      { return len(e.idx) }
-func (e *enumerator) Swap(a, b int) { e.idx[a], e.idx[b] = e.idx[b], e.idx[a] }
-func (e *enumerator) Less(a, b int) bool {
-	ja, jb := e.jobs[e.idx[a]], e.jobs[e.idx[b]]
-	if ja.Type != jb.Type {
-		return ja.Type < jb.Type
-	}
-	if e.byRem && ja.Remaining != jb.Remaining {
-		return ja.Remaining < jb.Remaining
-	}
-	return ja.ID < jb.ID
-}
-
-// prepare groups jobs by type with the given within-type preference
-// (byRem false: oldest first; true: shortest remaining first, ties to the
-// oldest — SRPT's order). It reuses all scratch.
-//
-// The grouping key (type, preference, ID) is a total order (IDs are
-// unique), so any sorting strategy yields the same idx. The fast path is
-// a two-pass counting scatter: the queue is ID-ordered (the Select
-// contract), so scattering in queue order is already (type, ID) order,
-// and SRPT's preference needs only a per-group insertion sort on top.
-// Types far beyond the queue length would inflate the counting array, so
-// such queues take the comparison-sort fallback instead.
-func (e *enumerator) prepare(jobs []*Job, byRem bool) {
-	e.jobs, e.byRem = jobs, byRem
-	if cap(e.idx) < len(jobs) {
-		e.idx = make([]int, 0, len(jobs))
-		e.tbuf = make([]int, 0, len(jobs))
-		e.rem = make([]float64, 0, len(jobs))
-		e.remAt = make([]float64, 0, len(jobs))
-	}
-	e.idx, e.tbuf = e.idx[:len(jobs)], e.tbuf[:len(jobs)]
-	// One pass over the job pointers copies the fields every later loop
-	// needs into dense scratch; everything below runs on flat arrays.
-	maxT := 0
-	if byRem {
-		e.rem, e.remAt = e.rem[:len(jobs)], e.remAt[:len(jobs)]
-		for i, j := range jobs {
-			e.tbuf[i], e.rem[i] = j.Type, j.Remaining
-			if j.Type > maxT {
-				maxT = j.Type
-			}
-		}
-	} else {
-		for i, j := range jobs {
-			e.tbuf[i] = j.Type
-			if j.Type > maxT {
-				maxT = j.Type
-			}
-		}
-	}
-	e.types, e.grpOff, e.caps = e.types[:0], e.grpOff[:0], e.caps[:0]
-	if maxT < 256 || maxT < 4*len(jobs) {
-		if cap(e.tcnt) < maxT+1 {
-			e.tcnt = make([]int, maxT+1)
-		}
-		tcnt := e.tcnt[:maxT+1]
-		clear(tcnt)
-		for _, t := range e.tbuf {
-			tcnt[t]++
-		}
-		// Group directory straight from the histogram, then exclusive
-		// prefix sums in place for the scatter.
-		sum := 0
-		for t, c := range tcnt {
-			if c > 0 {
-				e.types = append(e.types, t)
-				e.grpOff = append(e.grpOff, sum)
-				e.caps = append(e.caps, c)
-			}
-			tcnt[t] = sum
-			sum += c
-		}
-		e.grpOff = append(e.grpOff, len(jobs))
-		if byRem {
-			for i, t := range e.tbuf {
-				s := tcnt[t]
-				e.idx[s], e.remAt[s] = i, e.rem[i]
-				tcnt[t] = s + 1
-			}
-		} else {
-			for i, t := range e.tbuf {
-				e.idx[tcnt[t]] = i
-				tcnt[t]++
-			}
-		}
-	} else {
-		for i := range jobs {
-			e.idx[i] = i
-		}
-		sort.Sort(e)
-		for i, ji := range e.idx {
-			if byRem {
-				e.remAt[i] = e.rem[ji]
-			}
-			if t := e.tbuf[ji]; i == 0 || t != e.tbuf[e.idx[i-1]] {
-				e.types = append(e.types, t)
-				e.grpOff = append(e.grpOff, i)
-			}
-		}
-		e.grpOff = append(e.grpOff, len(e.idx))
-		for i := range e.types {
-			e.caps = append(e.caps, e.grpOff[i+1]-e.grpOff[i])
-		}
-	}
-	if byRem {
-		// Groups are (type, ID)-ordered; SRPT wants (Remaining, ID). The
-		// queue is ID-ordered, so the scatter left groups in ID order and
-		// a stable insertion sort on Remaining alone preserves the ID
-		// tie-break. idx and its remAt mirror move together.
-		for ti := range e.types {
-			lo, hi := e.grpOff[ti], e.grpOff[ti+1]
-			for i := lo + 1; i < hi; i++ {
-				v, rv := e.idx[i], e.remAt[i]
-				j := i
-				for j > lo && e.remAt[j-1] > rv {
-					e.idx[j], e.remAt[j] = e.idx[j-1], e.remAt[j-1]
-					j--
-				}
-				e.idx[j], e.remAt[j] = v, rv
-			}
-		}
-	}
-}
-
-// group returns type slot ti's job indices, preference order.
-func (e *enumerator) group(ti int) []int { return e.idx[e.grpOff[ti]:e.grpOff[ti+1]] }
-
-// typeIndex returns the type-group slot of type b; it must be present.
-func (e *enumerator) typeIndex(b int) int { return sort.SearchInts(e.types, b) }
-
-// countOf returns how many queued jobs have type b (0 when absent).
-func (e *enumerator) countOf(b int) int {
-	ti := sort.SearchInts(e.types, b)
-	if ti == len(e.types) || e.types[ti] != b {
-		return 0
-	}
-	return e.caps[ti]
+// reset points the enumerator at the queue summary q for one decision.
+func (e *enumerator) reset(q *Summary) {
+	e.types, e.caps = q.types, q.caps
 }
 
 // firstCandidate resets counts to the lexicographically smallest vector
@@ -252,6 +102,39 @@ func (e *enumerator) firstCandidate(m int) bool {
 		e.counts[i], rem = c, rem-c
 	}
 	return true
+}
+
+// candidates returns how many count vectors the walk over m slots
+// visits — those summing to m with counts[ti] <= caps[ti] — or limit
+// when there are at least that many. It is a knapsack count over the
+// type slots: ways[s] holds the vectors over the slots so far that sum
+// to s, and a slot of cap c turns it into the sum of the previous
+// ways[s-c..s], a difference of prefix sums. Adding a slot never lowers
+// ways[m], so the count stops at limit.
+func (e *enumerator) candidates(m, limit int) int {
+	var buf [16]int
+	ways := buf[:]
+	if m >= len(buf) {
+		if cap(e.ways) < m+1 {
+			e.ways = make([]int, m+1)
+		}
+		ways = e.ways
+		clear(ways)
+	}
+	ways = ways[:m+1]
+	ways[0] = 1
+	for _, c := range e.caps {
+		for s := 1; s <= m; s++ {
+			ways[s] += ways[s-1]
+		}
+		for s := m; s > c; s-- {
+			ways[s] -= ways[s-c-1]
+		}
+		if ways[m] >= limit {
+			return limit
+		}
+	}
+	return ways[m]
 }
 
 // next advances counts to the lexicographic successor, returning false
@@ -317,7 +200,7 @@ func (e *enumerator) buildKey() {
 	}
 }
 
-// primeRateCache readies the dense-rate cache for one Select at source
+// primeRateCache readies the dense-rate cache for one decision at source
 // epoch ep, dropping every cached slice when the rates have moved.
 func (e *enumerator) primeRateCache(ep uint64) {
 	if e.rcLive && ep == e.rcEpoch {
@@ -388,29 +271,46 @@ func (e *enumerator) setBounds(rs any, m int) bool {
 	return true
 }
 
+// setHeads copies the Remaining of each type slot's first min(caps, m)
+// jobs into hrem — all SRPT's scoring and bounds ever read, since a
+// candidate of m slots takes at most m jobs of a type, and those from the
+// front of its (Remaining-sorted) group.
+func (e *enumerator) setHeads(q *Summary, m int) {
+	e.m = m
+	if cap(e.hrem) < len(e.types)*m {
+		e.hrem = make([]float64, len(e.types)*m)
+	}
+	e.hrem = e.hrem[:len(e.types)*m]
+	for ti, c := range e.caps {
+		q.remaining(ti, e.hrem[ti*m:ti*m+min(c, m)])
+	}
+}
+
 // setRemBounds derives SRPT's per-group remaining-work prefix sums,
 // pre-divided by the group's rate bound so dominatedSum adds a stored
 // quotient instead of dividing per candidate, and the suffix cost floors
-// for candidates of m slots. Groups are sorted by ascending Remaining
-// (byRem), so group prefixes are the cheapest fills. setBounds must have
-// succeeded first.
+// for candidates of m slots, all from the head arrays setHeads filled.
+// Groups are sorted by ascending Remaining, so group prefixes are the
+// cheapest fills. setBounds must have succeeded first.
 //
 // sufQ[p*(m+1)+r] is the sum of the r smallest per-job quotients
 // (Remaining at the bound rate) over all jobs in groups >= p, relaxing
 // the per-group prefix structure — every real placement of r slots picks
 // r distinct jobs there, so the unconstrained r-smallest selection is an
 // admissible floor, and a far tighter one than r times the global
-// minimum when remaining work is spread out. Rows are built back to
-// front by merging each group's ascending quotient run into the running
+// minimum when remaining work is spread out. Only a group's first m jobs
+// can be among the r <= m smallest. Rows are built back to front by
+// merging each group's ascending quotient run into the running
 // m-smallest list; infeasible r (more slots than suffix jobs) are +Inf,
 // and the walk never asks for them.
 func (e *enumerator) setRemBounds(m int) {
-	if cap(e.cumDiv) < len(e.idx) {
-		e.cumDiv = make([]float64, len(e.idx))
+	T := len(e.types)
+	if cap(e.cumDiv) < T*m {
+		e.cumDiv = make([]float64, T*m)
 	}
-	e.cumDiv = e.cumDiv[:len(e.idx)]
+	e.cumDiv = e.cumDiv[:T*m]
 	for ti := range e.types {
-		lo, hi := e.grpOff[ti], e.grpOff[ti+1]
+		lo, hi := ti*m, ti*m+min(e.caps[ti], m)
 		// One reciprocal per group instead of a division per job: the
 		// quotients stray at most two ulps from exact division, far
 		// inside the boundSlack margin the dominance checks demand, so
@@ -418,16 +318,16 @@ func (e *enumerator) setRemBounds(m int) {
 		inv := 1 / e.ub[ti]
 		sum := 0.0
 		for i := lo; i < hi; i++ {
-			sum += e.remAt[i]
+			sum += e.hrem[i]
 			e.cumDiv[i] = sum * inv
 		}
 	}
-	if cap(e.bndPfx) < len(e.types) {
-		e.bndPfx = make([]float64, len(e.types))
-		e.bndPlaced = make([]int, len(e.types))
+	if cap(e.bndPfx) < T {
+		e.bndPfx = make([]float64, T)
+		e.bndPlaced = make([]int, T)
 	}
-	e.bndPfx, e.bndPlaced = e.bndPfx[:len(e.types)], e.bndPlaced[:len(e.types)]
-	T, stride := len(e.types), m+1
+	e.bndPfx, e.bndPlaced = e.bndPfx[:T], e.bndPlaced[:T]
+	stride := m + 1
 	if cap(e.sufQ) < (T+1)*stride {
 		e.sufQ = make([]float64, (T+1)*stride)
 	}
@@ -443,14 +343,14 @@ func (e *enumerator) setRemBounds(m int) {
 		last[r] = math.Inf(1)
 	}
 	for p := T - 1; p >= 0; p-- {
-		lo, hi := e.grpOff[p], e.grpOff[p+1]
-		gl := min(hi-lo, m)
+		lo := p * m
+		gl := min(e.caps[p], m)
 		inv := 1 / e.ub[p]
 		i, j, k := 0, 0, 0
 		for k < m && (i < cn || j < gl) {
 			var gq float64
 			if j < gl {
-				gq = e.remAt[lo+j] * inv
+				gq = e.hrem[lo+j] * inv
 			}
 			if j >= gl || (i < cn && cur[i] <= gq) {
 				nxt[k] = cur[i]
@@ -521,9 +421,9 @@ func (e *enumerator) dominatedTP(thr float64) (int, bool) {
 // so a subtree bounded at or above bestSum is inert and may be skipped.
 func (e *enumerator) dominatedSum(thr float64) (int, bool) {
 	thr *= 1 + boundSlack
-	grpOff, cumDiv, sufQ := e.grpOff, e.cumDiv, e.sufQ
+	cumDiv, sufQ := e.cumDiv, e.sufQ
 	counts := e.counts
-	stride := e.m + 1
+	m, stride := e.m, e.m+1
 	prefix, placed := 0.0, 0
 	p := e.dirty
 	if p > 0 {
@@ -532,11 +432,11 @@ func (e *enumerator) dominatedSum(thr float64) (int, bool) {
 	for ; p < len(counts); p++ {
 		c := counts[p]
 		if c > 0 {
-			prefix += cumDiv[grpOff[p]+c-1]
+			prefix += cumDiv[p*m+c-1]
 		}
 		placed += c
 		e.bndPfx[p], e.bndPlaced[p] = prefix, placed
-		if prefix+sufQ[(p+1)*stride+e.m-placed] >= thr {
+		if prefix+sufQ[(p+1)*stride+m-placed] >= thr {
 			e.dirty = p + 1
 			return p, true
 		}
@@ -546,8 +446,8 @@ func (e *enumerator) dominatedSum(thr float64) (int, bool) {
 }
 
 // greedySeed fills counts with the candidate taking the m jobs with the
-// smallest remaining work overall — groups are Remaining-sorted after a
-// byRem prepare, so this is an m-step merge over the group heads. SRPT
+// smallest remaining work overall — SRPT's groups are Remaining-sorted,
+// so this is an m-step merge over the head arrays setHeads filled. SRPT
 // scores it to seed its branch-and-bound threshold before enumeration
 // starts; the seed is a real candidate, so its score is always an upper
 // bound on the true minimum, whatever the rates do.
@@ -561,28 +461,13 @@ func (e *enumerator) greedySeed(m int) {
 		bi, bv := -1, math.Inf(1)
 		for ti := range e.types {
 			if c := e.counts[ti]; c < e.caps[ti] {
-				if v := e.remAt[e.grpOff[ti]+c]; v < bv {
+				if v := e.hrem[ti*m+c]; v < bv {
 					bi, bv = ti, v
 				}
 			}
 		}
 		e.counts[bi]++
 	}
-}
-
-// materialize writes the selection for a count vector — the first
-// counts[ti] jobs of each type group, preference order — into the shared
-// out buffer. Callers must not retain the returned slice across Select
-// calls.
-func (e *enumerator) materialize(counts []int) []int {
-	e.out = e.out[:0]
-	for ti, c := range counts {
-		g := e.group(ti)
-		for j := 0; j < c; j++ {
-			e.out = append(e.out, g[j])
-		}
-	}
-	return e.out
 }
 
 // keepBest copies the current counts into best.

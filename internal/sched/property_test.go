@@ -178,8 +178,10 @@ func TestEnumeratorMatchesNaive(t *testing.T) {
 				}
 			}
 			want := refCompositions(js, min(k, len(js)), pick)
+			var q Summary
+			q.build(js, byRem)
 			var e enumerator
-			e.prepare(js, byRem)
+			e.reset(&q)
 			got := 0
 			for ok := e.firstCandidate(min(k, len(js))); ok; ok = e.next() {
 				if got >= len(want) {
@@ -190,9 +192,9 @@ func TestEnumeratorMatchesNaive(t *testing.T) {
 				if fmt.Sprint(e.cos) != fmt.Sprint(w.cos) {
 					t.Fatalf("trial %d candidate %d: cos %v, want %v", trial, got, e.cos, w.cos)
 				}
-				if fmt.Sprint(e.materialize(e.counts)) != fmt.Sprint(w.jobs) {
+				if fmt.Sprint(q.indices(e.counts)) != fmt.Sprint(w.jobs) {
 					t.Fatalf("trial %d candidate %d: jobs %v, want %v",
-						trial, got, e.materialize(e.counts), w.jobs)
+						trial, got, q.indices(e.counts), w.jobs)
 				}
 				got++
 			}
@@ -523,6 +525,33 @@ func TestSelectRequiresArrivalOrder(t *testing.T) {
 	for i, idx := range sel {
 		if idx != i {
 			t.Errorf("FCFS over an ID-ordered queue must select the identity prefix, got %v", sel)
+		}
+	}
+}
+
+// TestCandidatesCountsTheWalk pins the candidate count SRPT chooses its
+// walk by to the number of count vectors the odometer actually visits,
+// and its saturation at the limit.
+func TestCandidatesCountsTheWalk(t *testing.T) {
+	rng := stats.NewRNG(53)
+	nextID := 0
+	for trial := 0; trial < 500; trial++ {
+		js := randomQueue(rng, &nextID, 1+rng.Intn(7), 16)
+		m := min(1+rng.Intn(6), len(js))
+		var q Summary
+		q.build(js, true)
+		var e enumerator
+		e.reset(&q)
+		walked := 0
+		for ok := e.firstCandidate(m); ok; ok = e.next() {
+			walked++
+		}
+		if got := e.candidates(m, 1<<30); got != walked {
+			t.Fatalf("trial %d: caps %v, m=%d: candidates %d, the walk visits %d", trial, q.caps, m, got, walked)
+		}
+		if limit := 1 + rng.Intn(40); e.candidates(m, limit) != min(walked, limit) {
+			t.Fatalf("trial %d: caps %v, m=%d: candidates capped at %d gives %d, want %d",
+				trial, q.caps, m, limit, e.candidates(m, limit), min(walked, limit))
 		}
 	}
 }

@@ -200,6 +200,7 @@ type MAXIT struct {
 	Met *Metrics
 
 	enum enumerator
+	sum  Summary // Select's from-scratch summary
 	// memo caches the winning count vector per queue signature for one
 	// rate epoch: the source answers identically within an epoch (the
 	// oracle's never changes; a learner bumps it per observation), so
@@ -214,21 +215,22 @@ type MAXIT struct {
 // Name implements Scheduler.
 func (m *MAXIT) Name() string { return "MAXIT" }
 
-// Select implements Scheduler.
+// Select implements Scheduler: it summarises jobs from scratch and runs
+// the decision a server's maintained summary runs.
 func (m *MAXIT) Select(jobs []*Job, k int) []int {
 	if len(jobs) == 0 {
 		return nil
 	}
-	e := &m.enum
-	e.prepare(jobs, false)
-	return m.selectPrepared(e, jobs, k)
+	m.sum.build(jobs, false)
+	return m.sum.indices(m.decide(&m.sum, k))
 }
 
-// selectPrepared runs the argmax over an enumerator already prepared for
-// jobs (byRem false). MAXTP's fallback enters here with the enumerator it
-// groups the queue into anyway, so a deferred LP pick costs one prepare,
-// not two; the decision memo lives on the MAXIT instance either way.
-func (m *MAXIT) selectPrepared(e *enumerator, jobs []*Job, k int) []int {
+// decide runs the argmax over the queue summary q and returns the
+// winning count per type slot. MAXTP's fallback enters here with its own
+// summary; the decision memo lives on the MAXIT instance either way.
+func (m *MAXIT) decide(q *Summary, k int) []int {
+	e := &m.enum
+	e.reset(q)
 	memoKey, memoOK := e.memoKey(k)
 	if memoOK {
 		if ep := m.Rates.Epoch(); ep != m.memoEpoch {
@@ -239,12 +241,12 @@ func (m *MAXIT) selectPrepared(e *enumerator, jobs []*Job, k int) []int {
 		}
 		if v, hit := m.memo[memoKey]; hit {
 			m.Met.hit()
-			return e.materialize(e.unpackCounts(v))
+			return e.unpackCounts(v)
 		}
 		m.Met.miss()
 	}
 	kr, keyed := m.Rates.(keyedRates)
-	n := min(k, len(jobs))
+	n := min(k, q.n)
 	prune := e.setBounds(m.Rates, n)
 	bestTP, bestAge := math.Inf(-1), math.Inf(1)
 	tied := false
@@ -273,9 +275,8 @@ func (m *MAXIT) selectPrepared(e *enumerator, jobs []*Job, k int) []int {
 		if tp > bestTP-tieTol {
 			age := 0.0
 			for ti, c := range e.counts {
-				g := e.group(ti)
 				for j := 0; j < c; j++ {
-					age += float64(jobs[g[j]].ID)
+					age += float64(q.at(ti, j).ID)
 				}
 			}
 			if tp > bestTP+tieTol {
@@ -304,7 +305,7 @@ func (m *MAXIT) selectPrepared(e *enumerator, jobs []*Job, k int) []int {
 		}
 		m.memo[memoKey] = packCounts(e.best)
 	}
-	return e.materialize(e.best)
+	return e.best
 }
 
 // SRPT selects the combination with the smallest sum of remaining
@@ -323,28 +324,45 @@ type SRPT struct {
 	Met *Metrics
 
 	enum enumerator
+	sum  Summary // Select's from-scratch summary
 }
 
 // Name implements Scheduler.
 func (s *SRPT) Name() string { return "SRPT" }
 
-// Select implements Scheduler.
+// Select implements Scheduler: it summarises jobs from scratch and runs
+// the decision a server's maintained summary runs.
 func (s *SRPT) Select(jobs []*Job, k int) []int {
 	if len(jobs) == 0 {
 		return nil
 	}
+	s.sum.build(jobs, true)
+	return s.sum.indices(s.decide(&s.sum, k))
+}
+
+// decide runs the argmin over the queue summary q and returns the
+// winning count per type slot.
+func (s *SRPT) decide(q *Summary, k int) []int {
+	s.enum.reset(q)
+	n := min(k, q.n)
+	// Pruning pays for its set-up (rate bounds, cost floors, a seed
+	// score) only over enough candidates: below srptPruneFrom the full
+	// walk is faster, and with n == q.n it visits exactly one.
+	return s.walk(q, n, n < q.n && s.enum.candidates(n, srptPruneFrom) >= srptPruneFrom)
+}
+
+// walk runs the argmin over candidates of n slots from the summary q,
+// which the enumerator was reset to, pruned by branch and bound when
+// prune is set and the source exposes rate bounds.
+func (s *SRPT) walk(q *Summary, n int, prune bool) []int {
 	e := &s.enum
-	e.prepare(jobs, true)
 	kr, keyed := s.Rates.(keyedRates)
 	dr, dense := s.Rates.(denseRates)
 	if dense {
 		e.primeRateCache(s.Rates.Epoch())
 	}
-	n := min(k, len(jobs))
-	// With n == len(jobs) the walk visits exactly one candidate (counts
-	// must equal the group caps), so the pruning machinery below can only
-	// add overhead — skip it and score the lone candidate directly.
-	prune := n < len(jobs) && e.setBounds(s.Rates, n)
+	e.setHeads(q, n)
+	prune = prune && e.setBounds(s.Rates, n)
 	thr := math.Inf(1)
 	var scored, pruned uint64
 	if prune {
@@ -384,13 +402,21 @@ func (s *SRPT) Select(jobs []*Job, k int) []int {
 		s.Met.Scored.Add(scored)
 		s.Met.Pruned.Add(pruned)
 	}
-	return e.materialize(e.best)
+	return e.best
 }
+
+// srptPruneFrom is the candidate count from which SRPT prunes its walk.
+// BenchmarkSRPTWalk times both walks by candidate count: the full walk
+// is up to twice as fast over a few candidates, the two cross between
+// 10 and 20 candidates depending on the run, and pruning wins by
+// 1.2–1.5× from 24 on (DESIGN.md, "When SRPT prunes").
+const srptPruneFrom = 17
 
 // score prices the enumerator's current candidate: each job's remaining
 // work divided by its type's rate in that coschedule. One rate probe per
 // type — same-type jobs share their rate in a coschedule — and the
-// per-job divisions accumulate in the original job order, so the sum is
+// per-job divisions accumulate in the original job order (read from the
+// head arrays setHeads filled), so the sum is
 // bit-identical to the pre-pruning walk's. Scoring may stop early once
 // the partial sum reaches limit: remaining terms are non-negative, so the
 // candidate cannot improve any more, and callers ignore non-improving
@@ -418,9 +444,9 @@ func (s *SRPT) score(e *enumerator, kr keyedRates, keyed bool, dr denseRates, de
 		} else {
 			rate = s.Rates.JobWIPC(e.cos, e.types[ti])
 		}
-		lo := e.grpOff[ti]
+		lo := ti * e.m
 		for j := lo; j < lo+c; j++ {
-			sum += e.remAt[j] / rate
+			sum += e.hrem[j] / rate
 		}
 		if sum >= limit {
 			break
@@ -439,17 +465,20 @@ type MAXTP struct {
 	Table *perfdb.Table
 	// fractions holds the LP support (non-zero optimal fractions);
 	// fracTypes/fracCounts/fracKeys are its per-fraction type multiset and
-	// perfdb key, precomputed so Select never re-derives them.
+	// perfdb key, precomputed so a decision never re-derives them.
 	fractions  []core.Fraction
 	fracTypes  [][]int
 	fracCounts [][]int
 	fracKeys   []uint64
-	selected   map[uint64]float64
-	elapsed    float64
-	fallback   *MAXIT
+	// selected[fi] is the time fractions[fi]'s coschedule has run, and
+	// elapsed the time observed in all.
+	selected []float64
+	elapsed  float64
+	fallback *MAXIT
 
-	enum enumerator
-	out  []int
+	sum    Summary // Select's from-scratch summary
+	slotOf []int   // per table type: its slot in the decided summary + 1, 0 when absent
+	counts []int   // the LP pick's count per slot
 }
 
 // NewMAXTP runs the offline phase for a workload and returns the scheduler.
@@ -461,9 +490,10 @@ func NewMAXTP(t *perfdb.Table, w workload.Workload) (*MAXTP, error) {
 	m := &MAXTP{
 		Table:     t,
 		fractions: opt.NonZero(1e-9),
-		selected:  make(map[uint64]float64),
 		fallback:  &MAXIT{Rates: t},
+		slotOf:    make([]int, len(t.Suite())),
 	}
+	m.selected = make([]float64, len(m.fractions))
 	for _, f := range m.fractions {
 		types := f.Cos.Types()
 		counts := make([]int, len(types))
@@ -480,22 +510,35 @@ func NewMAXTP(t *perfdb.Table, w workload.Workload) (*MAXTP, error) {
 // Name implements Scheduler.
 func (m *MAXTP) Name() string { return "MAXTP" }
 
-// Select implements Scheduler.
+// Select implements Scheduler: it summarises jobs from scratch and runs
+// the decision a server's maintained summary runs.
 func (m *MAXTP) Select(jobs []*Job, k int) []int {
 	if len(jobs) == 0 {
 		return nil
 	}
-	// Group the queue by type, oldest first, in reusable scratch.
-	e := &m.enum
-	e.prepare(jobs, false)
+	m.sum.build(jobs, false)
+	return m.sum.indices(m.decide(&m.sum, k))
+}
+
+// decide picks the composable LP coschedule furthest behind its ideal
+// fraction from the queue summary q, or defers to MAXIT over the same
+// summary, and returns the count per type slot. Composability reads the
+// summary's per-type counts through slotOf, one pass over its types.
+func (m *MAXTP) decide(q *Summary, k int) []int {
+	clear(m.slotOf)
+	for ti, t := range q.types {
+		if t < len(m.slotOf) {
+			m.slotOf[t] = ti + 1
+		}
+	}
 	bestIdx, bestDeficit := -1, math.Inf(-1)
 	for fi, f := range m.fractions {
-		if len(f.Cos) > len(jobs) {
+		if len(f.Cos) > q.n {
 			continue
 		}
 		composable := true
 		for i, b := range m.fracTypes[fi] {
-			if e.countOf(b) < m.fracCounts[fi][i] {
+			if s := m.slotOf[b]; s == 0 || q.caps[s-1] < m.fracCounts[fi][i] {
 				composable = false
 				break
 			}
@@ -503,7 +546,7 @@ func (m *MAXTP) Select(jobs []*Job, k int) []int {
 		if !composable {
 			continue
 		}
-		deficit := f.X*m.elapsed - m.selected[m.fracKeys[fi]]
+		deficit := f.X*m.elapsed - m.selected[fi]
 		if deficit > bestDeficit {
 			bestIdx, bestDeficit = fi, deficit
 		}
@@ -511,23 +554,30 @@ func (m *MAXTP) Select(jobs []*Job, k int) []int {
 	// Use the optimal schedule only while it is behind its ideal fraction;
 	// coschedules that are ahead of schedule would be run at the expense of
 	// waiting jobs for no long-run throughput benefit, so defer to MAXIT —
-	// over this enumerator, which already grouped the queue.
+	// over the same summary.
 	if bestIdx < 0 || bestDeficit <= 0 {
-		return m.fallback.selectPrepared(e, jobs, k)
+		return m.fallback.decide(q, k)
 	}
-	m.out = m.out[:0]
+	if cap(m.counts) < len(q.types) {
+		m.counts = make([]int, len(q.types))
+	}
+	m.counts = m.counts[:len(q.types)]
+	clear(m.counts)
 	for i, b := range m.fracTypes[bestIdx] {
-		g := e.group(e.typeIndex(b))
-		for j := 0; j < m.fracCounts[bestIdx][i]; j++ {
-			m.out = append(m.out, g[j])
-		}
+		m.counts[m.slotOf[b]-1] = m.fracCounts[bestIdx][i]
 	}
-	return m.out
+	return m.counts
 }
 
-// Observe implements Observer: track elapsed time and per-coschedule
-// selected time.
+// Observe implements Observer: track elapsed time and the time each LP
+// coschedule has run. Only the support's times are ever read, so an
+// interval of any other coschedule moves elapsed alone.
 func (m *MAXTP) Observe(cos workload.Coschedule, dt float64) {
 	m.elapsed += dt
-	m.selected[perfdb.Key(cos)] += dt
+	key := perfdb.Key(cos)
+	for fi, fk := range m.fracKeys {
+		if fk == key {
+			m.selected[fi] += dt
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -171,6 +172,10 @@ func TestMAXTPFallsBackWhenNotComposable(t *testing.T) {
 	}
 }
 
+// TestMAXTPObserveTracksTime pins MAXTP's clocks: observing an LP
+// support coschedule adds to elapsed and to that fraction's selected
+// time alone, and observing a coschedule outside the support moves only
+// elapsed.
 func TestMAXTPObserveTracksTime(t *testing.T) {
 	tb := table(t)
 	w := workload.Workload{0, 1, 2, 3}
@@ -178,20 +183,42 @@ func TestMAXTPObserveTracksTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := workload.NewCoschedule(0, 1, 2, 3)
-	m.Observe(c, 2.5)
+	support := m.fractions[0].Cos
+	m.Observe(support, 2.5)
 	if m.elapsed != 2.5 {
-		t.Errorf("elapsed = %v", m.elapsed)
+		t.Errorf("elapsed = %v after a 2.5 support interval", m.elapsed)
 	}
-	if m.selected[perfdb.Key(c)] != 2.5 {
-		t.Errorf("selected time not tracked")
+	for fi, f := range m.fractions {
+		want := 0.0
+		if perfdb.Key(f.Cos) == perfdb.Key(support) {
+			want = 2.5
+		}
+		if m.selected[fi] != want {
+			t.Errorf("fraction %v: selected time %v, want %v", f.Cos, m.selected[fi], want)
+		}
+	}
+	outside := workload.NewCoschedule(0, 0, 0, 0)
+	for _, f := range m.fractions {
+		if perfdb.Key(f.Cos) == perfdb.Key(outside) {
+			t.Fatalf("test setup: %v is in the LP support", outside)
+		}
+	}
+	before := slices.Clone(m.selected)
+	m.Observe(outside, 1)
+	if m.elapsed != 3.5 {
+		t.Errorf("elapsed = %v after a further 1.0 interval, want 3.5", m.elapsed)
+	}
+	if !slices.Equal(m.selected, before) {
+		t.Errorf("observing %v outside the support moved selected times %v -> %v", outside, before, m.selected)
 	}
 }
 
 func TestEnumeratorCountAndFeasibility(t *testing.T) {
 	js := jobs(0, 0, 1, 2)
+	var q Summary
+	q.build(js, false)
 	var e enumerator
-	e.prepare(js, false)
+	e.reset(&q)
 	// Multisets of size 3 with at most {0:2, 1:1, 2:1}:
 	// enumerate: {0,0,1},{0,0,2},{0,1,2} = 3.
 	n := 0
