@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -9,6 +10,43 @@ import (
 	"strings"
 	"testing"
 )
+
+// Regenerate the report golden with:
+//
+//	go test ./cmd/farmsim -run TestRunReportGolden -update
+var update = flag.Bool("update", false, "rewrite the report golden file")
+
+// TestRunReportGolden pins farmsim's whole stdout for one small faulted
+// grid with -quantiles: the standard panels, the fault panels and the
+// quantile panels, none of which any scenario's report text carries.
+func TestRunReportGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "report.txt")
+	var out, errb strings.Builder
+	code := run(context.Background(), []string{
+		"-servers", "2", "-jobs", "600", "-reps", "2",
+		"-dispatchers", "rr,li", "-loads", "0.5,0.8", "-quantiles", "-mtbf", "30",
+	}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("run = %d, stderr: %s", code, errb.String())
+	}
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if out.String() != string(want) {
+		t.Errorf("report differs from %s (regenerate with -update if the change is intended)\n--- got ---\n%s\n--- want ---\n%s",
+			golden, out.String(), want)
+	}
+}
 
 // TestRunTinyFarm is the end-to-end smoke run: a 2-server farm, one
 // dispatcher pair, one load, tiny job counts.

@@ -12,10 +12,10 @@ import (
 	"symbiosched/internal/scenario"
 )
 
-// Regenerate the golden CSVs with:
+// Regenerate the golden CSVs and report texts with:
 //
 //	go test ./internal/exp -run TestCSVGolden -update
-var update = flag.Bool("update", false, "rewrite the golden CSV files")
+var update = flag.Bool("update", false, "rewrite the golden CSV and report files")
 
 // goldenScenarios lists the CSV-producing scenarios the golden files pin,
 // in registry order: the paper's figures and tables, the farm/online
@@ -40,8 +40,8 @@ func goldenScenarios() []*scenario.Scenario {
 }
 
 // goldenCSVs runs every golden scenario through the engine on a fresh
-// tiny Env at the given parallelism, writes every result table into dir,
-// and returns the file names.
+// tiny Env at the given parallelism, writes every result table and the
+// report text (<scenario>.txt) into dir, and returns the file names.
 func goldenCSVs(t *testing.T, dir string, parallelism int) []string {
 	t.Helper()
 	e := tinyEnv(parallelism)
@@ -60,15 +60,19 @@ func goldenCSVs(t *testing.T, dir string, parallelism int) []string {
 			}
 			names = append(names, tbl.Name+".csv")
 		}
+		if err := os.WriteFile(filepath.Join(dir, s.Name+".txt"), []byte(res.Text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, s.Name+".txt")
 	}
 	return names
 }
 
 // TestCSVGolden pins the actual figure content, not just its determinism:
-// every scenario's tables must be byte-identical to the committed golden
-// files, at Parallelism 1 and at NumCPU. A real change to the models or
-// simulators shows up as a golden diff to be reviewed and regenerated
-// with -update.
+// every scenario's tables and report text must be byte-identical to the
+// committed golden files, at Parallelism 1 and at NumCPU. A real change
+// to the models or simulators shows up as a golden diff to be reviewed
+// and regenerated with -update.
 func TestCSVGolden(t *testing.T) {
 	goldenDir := filepath.Join("testdata", "golden")
 
@@ -77,7 +81,7 @@ func TestCSVGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		goldenCSVs(t, goldenDir, 1)
-		t.Log("golden CSVs rewritten")
+		t.Log("golden CSVs and report texts rewritten")
 		return
 	}
 

@@ -11,8 +11,9 @@ import (
 
 // TestGoldenIdenticalWithMetricsOn pins the zero-interference half of the
 // observability tentpole at the scenario level: with Config.Metrics on,
-// every golden CSV is still byte-identical to the committed files — the
-// instrumentation only adds *_metrics tables, it never perturbs a result.
+// every golden CSV and report text is still byte-identical to the
+// committed files — the instrumentation only adds *_metrics tables, it
+// never perturbs a result.
 func TestGoldenIdenticalWithMetricsOn(t *testing.T) {
 	goldenDir := filepath.Join("testdata", "golden")
 	e := tinyEnv(4)
@@ -23,6 +24,13 @@ func TestGoldenIdenticalWithMetricsOn(t *testing.T) {
 		res, err := s.Run(context.Background(), e, e.runCfg(s.Name))
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
+		}
+		want, err := os.ReadFile(filepath.Join(goldenDir, s.Name+".txt"))
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if res.Text != string(want) {
+			t.Errorf("%s.txt differs from golden with Metrics on", s.Name)
 		}
 		for _, tbl := range res.Tables {
 			if strings.HasSuffix(tbl.Name, "_metrics") {
