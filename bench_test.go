@@ -209,7 +209,7 @@ func BenchmarkPerfdbBuildSMT(b *testing.B) {
 }
 
 func BenchmarkLPOptimalSchedule(b *testing.B) {
-	t := env().SMTTable()
+	t := env().Table(exp.SMT)
 	w := workload.Workload{0, 1, 2, 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -220,7 +220,7 @@ func BenchmarkLPOptimalSchedule(b *testing.B) {
 }
 
 func BenchmarkFCFSSimulation(b *testing.B) {
-	t := env().SMTTable()
+	t := env().Table(exp.SMT)
 	w := workload.Workload{0, 1, 2, 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -242,7 +242,7 @@ func BenchmarkCycleSimSMT(b *testing.B) {
 }
 
 func BenchmarkLatencyExperiment(b *testing.B) {
-	t := env().SMTTable()
+	t := env().Table(exp.SMT)
 	w := workload.Workload{0, 1, 2, 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -289,7 +289,7 @@ func BenchmarkAblationMembus(b *testing.B) {
 // against the discrete-event simulation, in both speed (ns/op of each
 // branch alternates) and agreement (reported metric).
 func BenchmarkAblationFCFSModel(b *testing.B) {
-	t := env().SMTTable()
+	t := env().Table(exp.SMT)
 	w := workload.Workload{0, 1, 2, 3}
 	var markov, sim float64
 	for i := 0; i < b.N; i++ {
@@ -306,7 +306,7 @@ func BenchmarkAblationFCFSModel(b *testing.B) {
 // BenchmarkAblationPivotRule compares Bland's rule against Dantzig pricing
 // on the paper-shaped LP (35 variables, 4 constraints).
 func BenchmarkAblationPivotRule(b *testing.B) {
-	t := env().SMTTable()
+	t := env().Table(exp.SMT)
 	w := workload.Workload{0, 1, 2, 3}
 	coscheds := workload.LocalCoschedules(w, t.K())
 	build := func(rule lp.PivotRule) *lp.Problem {
@@ -349,7 +349,7 @@ func BenchmarkAblationPivotRule(b *testing.B) {
 // LP schedule versus falling back, by comparing achieved throughput with
 // the pure-MAXIT scheduler on the same pooled experiment.
 func BenchmarkAblationMAXTPFallback(b *testing.B) {
-	t := env().SMTTable()
+	t := env().Table(exp.SMT)
 	w := workload.Workload{0, 1, 2, 3}
 	var maxtpTP, maxitTP float64
 	for i := 0; i < b.N; i++ {
@@ -414,7 +414,7 @@ func BenchmarkSectionVISweepParallelism(b *testing.B) {
 			e := exp.NewEnv(cfg)
 			// Pre-build the shared inputs (perfdb table, Figure 1-3 sweep)
 			// so the timed region is exactly the Section VI event sweep.
-			if _, err := e.SMTSweep(); err != nil {
+			if _, err := e.Sweep(exp.SMT); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()

@@ -13,6 +13,9 @@
 //	        [-mtbf 0] [-mttr 2.5] [-retries 5] [-retry-delay 0.5] [-checkpoint restart]
 //	        [-parallel N] [-cache dir] [-csv dir] [-progress]
 //
+// A dispatcher or load listed twice in -dispatchers or -loads is a usage
+// error (exit 2); a bare "pd" counts as the pd<d> it expands to.
+//
 // -estimator replaces the oracle performance table with an online learner
 // (sampler or pairwise, see internal/online): schedulers and the li
 // dispatcher then decide over rates discovered at run time, while jobs
@@ -63,6 +66,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -123,11 +127,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			return 2
 		}
 	}
+	// A repeated grid coordinate would run (and write) its cells twice.
 	var dispList []string
 	for _, s := range strings.Split(*dispatchers, ",") {
 		name := strings.TrimSpace(s)
 		if name == "pd" {
 			name = fmt.Sprintf("pd%d", *probeD)
+		}
+		if slices.Contains(dispList, name) {
+			fmt.Fprintf(stderr, "farmsim: -dispatchers lists %s twice\n", name)
+			return 2
 		}
 		dispList = append(dispList, name)
 	}
@@ -136,6 +145,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		l, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil || !(l > 0 && l < 1) {
 			fmt.Fprintf(stderr, "farmsim: -loads wants fractions in (0,1), got %q\n", s)
+			return 2
+		}
+		if slices.Contains(loadList, l) {
+			fmt.Fprintf(stderr, "farmsim: -loads lists %g twice\n", l)
 			return 2
 		}
 		loadList = append(loadList, l)
@@ -187,7 +200,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		}
 	}()
 
-	r, err := exp.Farm(ctx, env, exp.FarmOptions{
+	res, err := env.Run(ctx, exp.FarmScenario(exp.FarmOptions{
 		Servers:      *servers,
 		Hetero:       *hetero,
 		Sched:        *schedName,
@@ -196,7 +209,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		Loads:        loadList,
 		Replications: *reps,
 		Faults:       fcfg,
-	})
+	}))
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintf(stderr, "farmsim: interrupted, partial results discarded: %v\n", err)
@@ -205,22 +218,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		}
 		return 1
 	}
-	fmt.Fprint(stdout, r.Format())
+	r := res.Value.(*exp.FarmResult)
+	fmt.Fprint(stdout, res.Text)
 	if *quantiles {
 		fmt.Fprint(stdout, r.FormatQuantiles())
 	}
 	if *csvDir != "" {
-		if err := exp.WriteCSV(*csvDir, "farm", r); err != nil {
-			fmt.Fprintf(stderr, "farmsim: csv: %v\n", err)
-			return 1
+		for _, t := range res.Tables {
+			if err := t.WriteFile(*csvDir); err != nil {
+				fmt.Fprintf(stderr, "farmsim: csv: %v\n", err)
+				return 1
+			}
 		}
 	}
 	if r.Metrics != nil {
 		if *csvDir != "" {
-			if err := exp.MetricsTable("farm_metrics", r.Metrics).WriteFile(*csvDir); err != nil {
-				fmt.Fprintf(stderr, "farmsim: metrics csv: %v\n", err)
-				return 1
-			}
 			fmt.Fprintf(stdout, "metrics: %d rows written to farm_metrics.csv\n", len(r.Metrics.Rows))
 		} else {
 			fmt.Fprintf(stdout, "metrics: %d rows collected (add -csv to export)\n", len(r.Metrics.Rows))

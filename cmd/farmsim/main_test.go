@@ -250,7 +250,8 @@ func TestRunErrors(t *testing.T) {
 		t.Errorf("unknown scheduler: run = %d, want 1", code)
 	}
 	// Counts below 1 are usage errors naming the flag, never a silent
-	// fallback to the default.
+	// fallback to the default; so is a grid coordinate listed twice,
+	// which would run and write its cells twice.
 	for _, bad := range [][]string{
 		{"-d", "0"},
 		{"-servers", "-3"},
@@ -258,6 +259,11 @@ func TestRunErrors(t *testing.T) {
 		{"-jobs", "-300"},
 		{"-reps", "-1"},
 		{"-reps", "0"},
+		{"-dispatchers", "li,li,rr"},
+		{"-dispatchers", "pd,pd2"},
+		{"-dispatchers", "pd3,pd", "-d", "3"},
+		{"-loads", "0.5,0.5"},
+		{"-loads", "0.5,0.8,0.50"},
 	} {
 		errb.Reset()
 		if code := run(context.Background(), bad, &out, &errb); code != 2 {

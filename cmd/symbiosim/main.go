@@ -84,7 +84,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	var (
 		fcfsJobs = fs.Int("fcfs-jobs", 20000, "jobs per FCFS throughput simulation")
 		simJobs  = fs.Int("sim-jobs", 20000, "jobs per Section VI event simulation")
-		sample   = fs.Int("sample", 99, "workloads sampled for fig5/fig6/fairness (0 = all 495)")
+		sample   = fs.Int("sample", 99, "workloads sampled for fig5/fig6/fairness/makespan/online (0 = all 495)")
 		seed     = fs.Uint64("seed", 1, "random seed")
 		csvDir   = fs.String("csv", "", "also write every scenario table as a CSV file into this directory")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for every sweep (results are identical at any value)")

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -45,7 +44,6 @@ func burstPlan(e *Env) (*scenario.Plan, error) {
 	const servers = 4
 	const reps = 3
 	dispatchers := []string{"jsq", "li"}
-	w := farmWorkload(e)
 	specs, capacity, err := fcfsFarm(e, servers, false)
 	if err != nil {
 		return nil, err
@@ -56,68 +54,55 @@ func burstPlan(e *Env) (*scenario.Plan, error) {
 		patternNames[i] = p.Name
 	}
 
-	return &scenario.Plan{
-		Axes: []scenario.Axis{
-			{Name: "pattern", Values: patternNames},
-			{Name: "dispatcher", Values: dispatchers},
-			{Name: "rep", Values: repLabels(reps)},
-		},
-		Cell: func(_ context.Context, pt scenario.Point) (any, error) {
-			pat := burstPatterns[pt.Index("pattern")]
-			cfg := farm.Config{
-				Lambda:    lambda,
-				Jobs:      e.Cfg.SimJobs,
-				SizeShape: 4,
-				// The base seed carries no axis at all — Replicate derives
-				// the per-replication stream from the rep index — so every
-				// (pattern, dispatcher) cell of a replication draws from
-				// the same streams and pattern effects are paired, not
-				// confounded with noise.
-				Seed: e.Cfg.Seed,
+	axes := []scenario.Axis{
+		{Name: "pattern", Values: patternNames},
+		{Name: "dispatcher", Values: dispatchers},
+	}
+	run := func(pt scenario.Point) farmRun {
+		pat := burstPatterns[pt.Index("pattern")]
+		// The base seed carries no axis at all — Replicate derives the
+		// per-replication stream from the rep index — so every
+		// (pattern, dispatcher) cell of a replication draws from the same
+		// streams and pattern effects are paired, not confounded with
+		// noise.
+		cfg := e.farmConfig(lambda, e.Cfg.Seed)
+		if pat.Factor > 1 {
+			on := burstCycle / pat.Factor
+			cfg.Schedule = []farm.Phase{
+				{Duration: on, Rate: pat.Factor * lambda},
+				{Duration: burstCycle - on, Rate: 0},
 			}
-			if pat.Factor > 1 {
-				on := burstCycle / pat.Factor
-				cfg.Schedule = []farm.Phase{
-					{Duration: on, Rate: pat.Factor * lambda},
-					{Duration: burstCycle - on, Rate: 0},
-				}
-			}
-			rep, err := farm.Replicate(specs, pt.Value("dispatcher"), w, cfg, pt.Index("rep"))
-			if err != nil {
-				return nil, fmt.Errorf("burst %s %s: %w", pat.Name, pt.Value("dispatcher"), err)
-			}
-			return rep, nil
-		},
-		Reduce: func(cells []any) (*scenario.Result, error) {
-			tbl := scenario.NewTable("burst",
-				scenario.StrCol("pattern"), scenario.StrCol("dispatcher"),
-				scenario.FloatCol("mean_turnaround"), scenario.FloatCol("p50_turnaround"),
-				scenario.FloatCol("p99_turnaround"), scenario.FloatCol("turnaround_std"),
-				scenario.FloatCol("utilisation"))
-			aggs := foldReps(cells, reps)
-			p99 := map[string]map[string]float64{}
-			ci := 0
-			for _, pat := range burstPatterns {
-				p99[pat.Name] = map[string]float64{}
-				for _, disp := range dispatchers {
-					a := aggs[ci]
-					ci++
-					tbl.Add(pat.Name, disp, a.MeanTurnaround, a.P50Turnaround,
-						a.P99Turnaround, a.TurnaroundStd, a.Utilisation)
-					p99[pat.Name][disp] = a.P99Turnaround
-				}
-			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "Bursty arrivals (%d SMT servers, FCFS per server, mean load %.2f, cycle %g, %d replications/cell)\n",
-				servers, burstLoad, burstCycle, reps)
-			b.WriteString(tbl.Text())
+		}
+		return farmRun{specs, pt.Value("dispatcher"), cfg}
+	}
+	return replicated(e, "burst", axes, reps, run, func(aggs []*farm.SweepResult) (*scenario.Result, error) {
+		tbl := scenario.NewTable("burst",
+			str("pattern"), str("dispatcher"),
+			flt("mean_turnaround"), flt("p50_turnaround"),
+			flt("p99_turnaround"), flt("turnaround_std"),
+			flt("utilisation"))
+		p99 := map[string]map[string]float64{}
+		ci := 0
+		for _, pat := range burstPatterns {
+			p99[pat.Name] = map[string]float64{}
 			for _, disp := range dispatchers {
-				if base := p99["steady"][disp]; base > 0 {
-					fmt.Fprintf(&b, "  %s: p99 turnaround inflates %.1fx under burst2, %.1fx under burst4\n",
-						disp, p99["burst2"][disp]/base, p99["burst4"][disp]/base)
-				}
+				a := aggs[ci]
+				ci++
+				tbl.Add(pat.Name, disp, a.MeanTurnaround, a.P50Turnaround,
+					a.P99Turnaround, a.TurnaroundStd, a.Utilisation)
+				p99[pat.Name][disp] = a.P99Turnaround
 			}
-			return &scenario.Result{Value: tbl, Text: b.String(), Tables: []*scenario.Table{tbl}}, nil
-		},
-	}, nil
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "Bursty arrivals (%d SMT servers, FCFS per server, mean load %.2f, cycle %g, %d replications/cell)\n",
+			servers, burstLoad, burstCycle, reps)
+		b.WriteString(tbl.Text())
+		for _, disp := range dispatchers {
+			if base := p99["steady"][disp]; base > 0 {
+				fmt.Fprintf(&b, "  %s: p99 turnaround inflates %.1fx under burst2, %.1fx under burst4\n",
+					disp, p99["burst2"][disp]/base, p99["burst4"][disp]/base)
+			}
+		}
+		return &scenario.Result{Value: tbl, Text: b.String(), Tables: []*scenario.Table{tbl}}, nil
+	}), nil
 }

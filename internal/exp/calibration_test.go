@@ -27,16 +27,16 @@ func calibration(t *testing.T) (*core.SuiteAnalysis, *core.SuiteAnalysis) {
 	}
 	calOnce.Do(func() {
 		e := NewEnv(DefaultConfig())
-		calSMT, calErr = core.AnalyzeSuite(e.SMTTable(), 4, core.AnalyzeConfig{UseMarkovFCFS: true})
+		calSMT, calErr = core.AnalyzeSuite(e.Table(SMT), 4, core.AnalyzeConfig{UseMarkovFCFS: true})
 		if calErr != nil {
 			return
 		}
-		calQuad, calErr = core.AnalyzeSuite(e.QuadTable(), 4, core.AnalyzeConfig{UseMarkovFCFS: true})
+		calQuad, calErr = core.AnalyzeSuite(e.Table(Quad), 4, core.AnalyzeConfig{UseMarkovFCFS: true})
 		if calErr != nil {
 			return
 		}
-		calSMTT2 = core.HeterogeneityTable(e.SMTTable(), calSMT.Workloads)
-		calQuadT2 = core.HeterogeneityTable(e.QuadTable(), calQuad.Workloads)
+		calSMTT2 = core.HeterogeneityTable(e.Table(SMT), calSMT.Workloads)
+		calQuadT2 = core.HeterogeneityTable(e.Table(Quad), calQuad.Workloads)
 	})
 	if calErr != nil {
 		t.Fatal(calErr)

@@ -1,22 +1,35 @@
 package exp
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// writeTables runs the named scenario on e and writes every result table
+// into dir.
+func writeTables(t *testing.T, e *Env, name, dir string) any {
+	t.Helper()
+	res, err := RunScenario(context.Background(), e, name)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for _, tbl := range res.Tables {
+		if err := tbl.WriteFile(dir); err != nil {
+			t.Fatalf("%s: %v", tbl.Name, err)
+		}
+	}
+	return res.Value
+}
+
+// TestWriteCSV pins the shape of a driver-built table on disk: the
+// header names the columns and there is one data row per point.
 func TestWriteCSV(t *testing.T) {
 	e := miniEnv(t)
 	dir := t.TempDir()
-	smt, _, err := Fig2(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCSV(dir, "fig2_smt", smt); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
+	smt := writeTables(t, e, "fig2", dir).([]*Fig2Result)[0]
 	data, err := os.ReadFile(filepath.Join(dir, "fig2_smt.csv"))
 	if err != nil {
 		t.Fatal(err)
@@ -28,49 +41,19 @@ func TestWriteCSV(t *testing.T) {
 	if len(lines)-1 != len(smt.Points) {
 		t.Errorf("%d data rows, want %d", len(lines)-1, len(smt.Points))
 	}
-}
-
-// TestWriteCSVUnsupportedType pins the hard-error contract: a result
-// type without a CSV serialisation must fail loudly (and write nothing),
-// not be skipped.
-func TestWriteCSVUnsupportedType(t *testing.T) {
-	dir := t.TempDir()
-	err := WriteCSV(dir, "x", 42)
-	if err == nil {
-		t.Fatal("unsupported type accepted")
-	}
-	if !strings.Contains(err.Error(), "int") {
-		t.Errorf("error %q does not name the offending type", err)
-	}
-	if _, serr := os.Stat(filepath.Join(dir, "x.csv")); serr == nil {
-		t.Error("a file was written for the unsupported type")
-	}
-	// A typed nil inside the any is just as unknown.
-	if err := WriteCSV(dir, "y", (*struct{ X int })(nil)); err == nil {
-		t.Error("unsupported pointer type accepted")
+	if _, err := os.Stat(filepath.Join(dir, "fig2_quad.csv")); err != nil {
+		t.Error(err)
 	}
 }
 
+// TestWriteCSVAllFigureTypes checks that the analytic, the grid and the
+// extension drivers each emit their CSV table.
 func TestWriteCSVAllFigureTypes(t *testing.T) {
 	e := miniEnv(t)
 	dir := t.TempDir()
-	f4, err := Fig4(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f5, err := Fig5(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk, err := MakespanExperiment(e, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, r := range map[string]any{"fig4": f4, "fig5": f5, "makespan": mk} {
-		if err := WriteCSV(dir, name, r); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, name+".csv")); err != nil {
+	for name, file := range map[string]string{"fig4": "fig4", "fig5": "fig5", "makespan": "makespan8"} {
+		writeTables(t, e, name, dir)
+		if _, err := os.Stat(filepath.Join(dir, file+".csv")); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -8,11 +8,12 @@
 // registry dispatch (`run <name>`, `list`) and the root-level benchmarks
 // are thin wrappers over the same drivers.
 //
-// Every driver returns a structured result plus a Format() string that
-// prints the same quantities the paper reports, with the paper's numbers
-// quoted alongside for comparison (also recorded in EXPERIMENTS.md); the
-// scenario layer carries the same data as typed-column tables whose CSV
-// bytes the golden tests pin.
+// Every driver returns a structured result whose Format() prints the
+// quantities the paper reports, with the paper's numbers quoted
+// alongside for comparison (also recorded in EXPERIMENTS.md). The
+// scenario carries the same data as typed-column tables, built where the
+// result is assembled; the golden tests pin their CSV bytes and the
+// report text.
 //
 // Sweeps run on internal/runner: Config.Parallelism bounds every worker
 // pool (perfdb builds, suite analyses, Section VI simulations) without
@@ -32,6 +33,7 @@ import (
 	"symbiosched/internal/perfdb"
 	"symbiosched/internal/program"
 	"symbiosched/internal/runner"
+	"symbiosched/internal/scenario"
 	"symbiosched/internal/uarch"
 )
 
@@ -39,9 +41,6 @@ import (
 type Config struct {
 	// Suite is the benchmark suite (default program.Suite()).
 	Suite []program.Profile
-	// SMT and Quad are the two machine configurations of Section V-A.
-	SMT  uarch.SMTMachine
-	Quad uarch.MulticoreMachine
 	// FCFSJobs sizes the FCFS throughput simulations (default 20_000).
 	FCFSJobs int
 	// SimJobs sizes the Section VI event simulations (default 20_000).
@@ -62,11 +61,11 @@ type Config struct {
 	// Progress, when set, receives per-sweep progress: the sweep's name
 	// and how many of its items have completed.
 	Progress func(sweep string, done, total int)
-	// Metrics, when set, instruments the simulation-backed scenarios
-	// (internal/metrics): instrumented results carry a merged snapshot
-	// and their scenarios emit an extra "<table>_metrics" CSV table.
-	// Instruments only observe — the scenario tables and Format() text
-	// are byte-identical with Metrics on or off (pinned by test).
+	// Metrics, when set, instruments the farm scenario's simulations
+	// (internal/metrics): its result carries a merged snapshot and it
+	// emits an extra "farm_metrics" CSV table. Instruments only observe
+	// — every scenario's tables and report text are byte-identical with
+	// Metrics on or off (pinned by test).
 	Metrics bool
 }
 
@@ -74,24 +73,35 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Suite:    program.Suite(),
-		SMT:      uarch.DefaultSMT(),
-		Quad:     uarch.DefaultMulticore(),
 		FCFSJobs: 20_000,
 		SimJobs:  20_000,
 		Seed:     1,
 	}
 }
 
+// Machine is one of the two configurations of Section V-A, both at
+// their uarch defaults.
+type Machine int
+
+const (
+	SMT  Machine = iota // the 4-context SMT core
+	Quad                // the quad-core multicore
+)
+
+// machines lists both configurations in report order.
+var machines = []Machine{SMT, Quad}
+
+// String returns the machine's short label: "smt" or "quad".
+func (m Machine) String() string { return [...]string{"smt", "quad"}[m] }
+
 // Env carries lazily built, cached performance tables and suite analyses
 // so that drivers sharing inputs (Figures 1-3, Table II) compute them once.
 type Env struct {
 	Cfg Config
 
-	mu        sync.Mutex
-	smtTable  *perfdb.Table
-	quadTable *perfdb.Table
-	smtSweep  *core.SuiteAnalysis
-	quadSweep *core.SuiteAnalysis
+	mu     sync.Mutex
+	tables [2]*perfdb.Table       // indexed by Machine
+	sweeps [2]*core.SuiteAnalysis // indexed by Machine
 }
 
 // NewEnv returns an Env over the given config (zero-value fields are
@@ -100,12 +110,6 @@ func NewEnv(cfg Config) *Env {
 	def := DefaultConfig()
 	if cfg.Suite == nil {
 		cfg.Suite = def.Suite
-	}
-	if cfg.SMT.Threads == 0 {
-		cfg.SMT = def.SMT
-	}
-	if cfg.Quad.Cores == 0 {
-		cfg.Quad = def.Quad
 	}
 	if cfg.FCFSJobs == 0 {
 		cfg.FCFSJobs = def.FCFSJobs
@@ -134,81 +138,90 @@ func (e *Env) runCfg(sweep string) runner.Config {
 	return rc
 }
 
-// SMTTable returns (building once) the SMT performance database, loading
-// it from Cfg.CacheDir when enabled.
-func (e *Env) SMTTable() *perfdb.Table {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.smtTable == nil {
-		e.smtTable = e.table(perfdb.SMTModel{Machine: e.Cfg.SMT}, fmt.Sprintf("%+v", e.Cfg.SMT), "perfdb/smt")
-	}
-	return e.smtTable
-}
-
-// QuadTable returns (building once) the quad-core performance database,
+// Table returns (building once) machine m's performance database,
 // loading it from Cfg.CacheDir when enabled.
-func (e *Env) QuadTable() *perfdb.Table {
+func (e *Env) Table(m Machine) *perfdb.Table {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.quadTable == nil {
-		e.quadTable = e.table(perfdb.MulticoreModel{Machine: e.Cfg.Quad}, fmt.Sprintf("%+v", e.Cfg.Quad), "perfdb/quad")
+	if e.tables[m] == nil {
+		e.tables[m] = e.build(m)
 	}
-	return e.quadTable
+	return e.tables[m]
 }
 
-// table builds (or loads from the cache directory) one perfdb table. The
-// fingerprint must encode every machine parameter so a config change can
-// never resurrect a stale cache entry.
-func (e *Env) table(m perfdb.Model, fingerprint, sweep string) *perfdb.Table {
-	rc := e.runCfg(sweep)
+// build builds (or loads from the cache directory) machine m's perfdb
+// table. The fingerprint must encode every machine parameter so a config
+// change can never resurrect a stale cache entry.
+func (e *Env) build(m Machine) *perfdb.Table {
+	var model perfdb.Model
+	var fingerprint string
+	if m == SMT {
+		machine := uarch.DefaultSMT()
+		model, fingerprint = perfdb.SMTModel{Machine: machine}, fmt.Sprintf("%+v", machine)
+	} else {
+		machine := uarch.DefaultMulticore()
+		model, fingerprint = perfdb.MulticoreModel{Machine: machine}, fmt.Sprintf("%+v", machine)
+	}
+	rc := e.runCfg("perfdb/" + m.String())
 	if e.Cfg.CacheDir == "" {
-		t, err := perfdb.BuildWith(context.Background(), rc, m, e.Cfg.Suite)
+		t, err := perfdb.BuildWith(context.Background(), rc, model, e.Cfg.Suite)
 		if err != nil {
 			panic(err) // unreachable: the background context never cancels
 		}
 		return t
 	}
-	t, _, err := perfdb.LoadOrBuild(context.Background(), rc, m, e.Cfg.Suite, e.Cfg.CacheDir, fingerprint)
+	t, _, err := perfdb.LoadOrBuild(context.Background(), rc, model, e.Cfg.Suite, e.Cfg.CacheDir, fingerprint)
 	if err != nil {
 		panic(fmt.Sprintf("exp: perfdb cache %s: %v", e.Cfg.CacheDir, err))
 	}
 	return t
 }
 
-// SMTSweep returns (running once) the N=4 all-workloads analysis on the
-// SMT table.
-func (e *Env) SMTSweep() (*core.SuiteAnalysis, error) {
-	t := e.SMTTable()
+// Sweep returns (running once) the N=4 all-workloads analysis on
+// machine m.
+func (e *Env) Sweep(m Machine) (*core.SuiteAnalysis, error) {
+	t := e.Table(m)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.smtSweep == nil {
+	if e.sweeps[m] == nil {
 		sa, err := core.AnalyzeSuite(t, 4, core.AnalyzeConfig{
 			FCFS:   core.FCFSConfig{Jobs: e.Cfg.FCFSJobs},
-			Runner: e.runCfg("sweep/smt"),
+			Runner: e.runCfg("sweep/" + m.String()),
 		})
 		if err != nil {
 			return nil, err
 		}
-		e.smtSweep = sa
+		e.sweeps[m] = sa
 	}
-	return e.smtSweep, nil
+	return e.sweeps[m], nil
 }
 
-// QuadSweep returns (running once) the N=4 all-workloads analysis on the
-// quad-core table.
-func (e *Env) QuadSweep() (*core.SuiteAnalysis, error) {
-	t := e.QuadTable()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.quadSweep == nil {
-		sa, err := core.AnalyzeSuite(t, 4, core.AnalyzeConfig{
-			FCFS:   core.FCFSConfig{Jobs: e.Cfg.FCFSJobs},
-			Runner: e.runCfg("sweep/quad"),
-		})
+// perMachine builds one result per configuration, SMT then quad, from
+// the machine's N=4 suite sweep.
+func perMachine[R any](e *Env, build func(m Machine, sa *core.SuiteAnalysis) R) (smt, quad R, err error) {
+	var out [2]R
+	for _, m := range machines {
+		sa, err := e.Sweep(m)
 		if err != nil {
-			return nil, err
+			return smt, quad, err
 		}
-		e.quadSweep = sa
+		out[m] = build(m, sa)
 	}
-	return e.quadSweep, nil
+	return out[SMT], out[Quad], nil
+}
+
+// Run executes scenario s over e with the Env's parallelism and
+// progress wiring.
+func (e *Env) Run(ctx context.Context, s *scenario.Scenario) (*scenario.Result, error) {
+	return s.Run(ctx, e, e.runCfg(s.Name))
+}
+
+// result runs scenario s over e and returns its typed value.
+func result[T any](ctx context.Context, e *Env, s *scenario.Scenario) (T, error) {
+	res, err := e.Run(ctx, s)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return res.Value.(T), nil
 }

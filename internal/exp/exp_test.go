@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"symbiosched/internal/program"
+	"symbiosched/internal/sched"
 )
 
 // miniEnv uses a 6-benchmark suite (15 N=4 workloads) and small simulation
@@ -182,7 +183,7 @@ func TestFig5Structure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Cells) != len(SchedulerNames)*len(Fig5Loads) {
+	if len(r.Cells) != len(sched.Names)*len(Fig5Loads) {
 		t.Fatalf("got %d cells", len(r.Cells))
 	}
 	for _, load := range Fig5Loads {
@@ -193,7 +194,7 @@ func TestFig5Structure(t *testing.T) {
 		if math.Abs(c.TurnaroundVsFCFS-1) > 1e-9 {
 			t.Errorf("FCFS normalised turnaround %v != 1", c.TurnaroundVsFCFS)
 		}
-		for _, name := range SchedulerNames {
+		for _, name := range sched.Names {
 			c, _ := r.Cell(name, load)
 			if c.Utilisation <= 0 || c.Utilisation > 4 {
 				t.Errorf("%s@%v: utilisation %v", name, load, c.Utilisation)
@@ -295,14 +296,14 @@ func TestUarchStudy(t *testing.T) {
 
 func TestEnvCaching(t *testing.T) {
 	e := miniEnv(t)
-	if e.SMTTable() != e.SMTTable() {
+	if e.Table(SMT) != e.Table(SMT) {
 		t.Error("SMT table not cached")
 	}
-	s1, err := e.SMTSweep()
+	s1, err := e.Sweep(SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := e.SMTSweep()
+	s2, _ := e.Sweep(SMT)
 	if s1 != s2 {
 		t.Error("sweep not cached")
 	}

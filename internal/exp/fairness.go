@@ -7,7 +7,6 @@ import (
 
 	"symbiosched/internal/core"
 	"symbiosched/internal/runner"
-	"symbiosched/internal/workload"
 )
 
 // FairnessResult reproduces the Section V-D counterfactual: equalising the
@@ -28,7 +27,7 @@ type FairnessResult struct {
 // Fairness runs the counterfactual over the (sampled) N=4 workloads on the
 // SMT configuration.
 func Fairness(e *Env) (*FairnessResult, error) {
-	t := e.SMTTable()
+	t := e.Table(SMT)
 	ws := e.sampledWorkloads()
 	n := float64(len(ws))
 	// One counterfactual per workload in parallel; the means fold in
@@ -69,10 +68,4 @@ func (r *FairnessResult) Format() string {
 	fmt.Fprintf(&b, "  optimal scheduler's time in the heterogeneous coschedule: %.0f%% -> %.0f%%   [paper: \"most of the time\" after]\n",
 		100*r.HeteroFractionBefore, 100*r.HeteroFractionAfter)
 	return b.String()
-}
-
-// FairnessForWorkload runs the counterfactual for a single workload —
-// useful for inspecting the mechanism (examples/quickstart uses it).
-func FairnessForWorkload(e *Env, w workload.Workload) (*core.FairnessOutcome, error) {
-	return core.FairnessExperiment(e.SMTTable(), w, core.FCFSConfig{Jobs: e.Cfg.FCFSJobs, Seed: e.Cfg.Seed})
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"symbiosched/internal/core"
@@ -69,35 +70,6 @@ func (o FarmOptions) withDefaults() FarmOptions {
 	return o
 }
 
-// FarmCell is one (dispatcher, load) aggregate of the farm experiment.
-type FarmCell struct {
-	Dispatcher string
-	Load       float64
-	// MeanTurnaround and the P50/P95/P99 quantiles are means over
-	// replications.
-	MeanTurnaround float64
-	P50Turnaround  float64
-	P95Turnaround  float64
-	P99Turnaround  float64
-	// TurnaroundStd is the across-replication standard deviation of the
-	// mean turnaround.
-	TurnaroundStd float64
-	Utilisation   float64
-	EmptyFraction float64
-	Throughput    float64
-	// Fault-injection aggregates (farm.SweepResult): means over
-	// replications for the floats, totals for the counts. All trivial —
-	// availability 1, counts 0 — when FarmOptions.Faults is disabled;
-	// they appear in Format's fault panel but not in the pinned farm CSV
-	// (the resilience scenario owns the fault-column table).
-	Availability float64
-	Goodput      float64
-	WastedWork   float64
-	Redispatches int
-	Dropped      int
-	Parked       int
-}
-
 // FarmResult is the full dispatcher-by-load grid.
 type FarmResult struct {
 	// Name describes the farm (server count, machine mix, scheduler).
@@ -112,8 +84,15 @@ type FarmResult struct {
 	// Faulted records whether the grid ran under fault injection — it
 	// gates the availability/goodput panels in Format.
 	Faulted bool
-	// Cells are ordered dispatcher-major, load-minor.
-	Cells []FarmCell
+	// Dispatchers and Loads span the grid.
+	Dispatchers []string
+	Loads       []float64
+	// Cells are the per-(dispatcher, load) aggregates over replications,
+	// ordered dispatcher-major, load-minor. The fault aggregates are
+	// trivial (availability 1, counts 0) when FarmOptions.Faults is
+	// disabled; they appear in Format's fault panels but not in the
+	// pinned farm CSV (the resilience scenario owns the fault columns).
+	Cells []*farm.SweepResult
 	// Metrics is the whole grid's merged instrumentation snapshot (nil
 	// unless exp.Config.Metrics): the per-cell sweep snapshots merged in
 	// cell enumeration order, so it is bit-identical at any parallelism.
@@ -134,69 +113,58 @@ func farmWorkload(e *Env) workload.Workload {
 	return w
 }
 
-// farmSpecs builds the server list: all-SMT, or alternating SMT/quad when
-// hetero is set. MAXTP and the online estimators are constructed per
-// simulation via the spec factories (they carry run state); the offline
-// LP phase MAXTP needs runs inside the factory, once per replication.
-func farmSpecs(e *Env, opt FarmOptions, w workload.Workload) ([]farm.ServerSpec, error) {
-	tables := []*perfdb.Table{e.SMTTable()}
+// farmFleet builds the server list — all-SMT, or alternating SMT/quad
+// when opt.Hetero is set — and the aggregate capacity its loads are
+// calibrated against: the sum over servers of the per-table FCFS
+// maximum throughput. MAXTP and the online estimators are constructed
+// per simulation via the spec factories (they carry run state); the
+// offline LP phase MAXTP needs runs inside the factory, once per
+// replication.
+func farmFleet(e *Env, opt FarmOptions) ([]farm.ServerSpec, float64, error) {
+	w := farmWorkload(e)
+	tables := []*perfdb.Table{e.Table(SMT)}
 	if opt.Hetero {
-		tables = append(tables, e.QuadTable())
-	}
-	specs := make([]farm.ServerSpec, opt.Servers)
-	for i := range specs {
-		t := tables[i%len(tables)]
-		specs[i] = farm.ServerSpec{
-			Table: t,
-			Sched: func(rs online.RateSource) (sched.Scheduler, error) { return newScheduler(opt.Sched, rs, w) },
-		}
-		if opt.Estimator != "oracle" {
-			specs[i].Estimator = func(seed uint64) (online.Estimator, error) { return online.New(opt.Estimator, t, seed) }
-		}
+		tables = append(tables, e.Table(Quad))
 	}
 	// Validate the names once, eagerly — including combinations the
 	// factories would only reject mid-sweep (MAXTP over a learner).
 	val, err := online.New(opt.Estimator, tables[0], 1)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if _, err := newScheduler(opt.Sched, val, w); err != nil {
-		return nil, err
+	if _, err := sched.New(opt.Sched, val, w); err != nil {
+		return nil, 0, err
 	}
-	return specs, nil
-}
-
-// farmCapacity calibrates offered loads against the farm's aggregate
-// capacity: the sum over servers of the per-table FCFS maximum
-// throughput.
-func farmCapacity(e *Env, specs []farm.ServerSpec, w workload.Workload) float64 {
+	tps := make([]float64, len(tables))
+	for i, t := range tables {
+		tps[i] = core.FCFS(t, w, core.FCFSConfig{Jobs: e.Cfg.FCFSJobs, Seed: e.Cfg.Seed}).Throughput
+	}
+	specs := make([]farm.ServerSpec, opt.Servers)
 	capacity := 0.0
-	perTable := map[*perfdb.Table]float64{}
-	for _, sp := range specs {
-		tp, ok := perTable[sp.Table]
-		if !ok {
-			tp = core.FCFS(sp.Table, w, core.FCFSConfig{Jobs: e.Cfg.FCFSJobs, Seed: e.Cfg.Seed}).Throughput
-			perTable[sp.Table] = tp
+	for i := range specs {
+		t := tables[i%len(tables)]
+		specs[i] = farm.ServerSpec{
+			Table: t,
+			Sched: func(rs online.RateSource) (sched.Scheduler, error) { return sched.New(opt.Sched, rs, w) },
 		}
-		capacity += tp
+		if opt.Estimator != "oracle" {
+			specs[i].Estimator = func(seed uint64) (online.Estimator, error) { return online.New(opt.Estimator, t, seed) }
+		}
+		capacity += tps[i%len(tables)]
 	}
-	return capacity
+	return specs, capacity, nil
 }
 
 // farmPlan lays the dispatcher x load x replication grid out on the
 // scenario engine: every cell is one farm simulation, enumerated
-// dispatcher-major with the replication innermost — exactly the flattened
-// sweep the pre-engine driver ran, so the grid (and the golden CSV) is
-// bit-identical at any parallelism level. tableName is the CSV stem
-// ("farm" for the registered scenario).
-func farmPlan(e *Env, opt FarmOptions, tableName string) (*scenario.Plan, error) {
+// dispatcher-major with the replication innermost, so the grid (and the
+// golden CSV) is bit-identical at any parallelism level.
+func farmPlan(e *Env, opt FarmOptions) (*scenario.Plan, error) {
 	opt = opt.withDefaults()
-	w := farmWorkload(e)
-	specs, err := farmSpecs(e, opt, w)
+	specs, capacity, err := farmFleet(e, opt)
 	if err != nil {
 		return nil, err
 	}
-	capacity := farmCapacity(e, specs, w)
 
 	mix := "smt"
 	if opt.Hetero {
@@ -209,113 +177,117 @@ func farmPlan(e *Env, opt FarmOptions, tableName string) (*scenario.Plan, error)
 	if opt.Faults.Enabled() {
 		name += fmt.Sprintf(" !mtbf=%g", opt.Faults.MTBF)
 	}
-	reps := opt.Replications
-	return &scenario.Plan{
-		Axes: []scenario.Axis{
-			{Name: "dispatcher", Values: opt.Dispatchers},
-			{Name: "load", Values: floatLabels(opt.Loads)},
-			{Name: "rep", Values: repLabels(reps)},
-		},
-		Cell: func(_ context.Context, pt scenario.Point) (any, error) {
-			disp := opt.Dispatchers[pt.Index("dispatcher")]
-			load := opt.Loads[pt.Index("load")]
-			// The replication seed derives from the in-cell index alone:
-			// every (dispatcher, load) cell sees the same arrival streams
-			// (common random numbers), as the pre-engine sweep did.
-			cfg := farm.Config{
-				Lambda:    load * capacity,
-				Jobs:      e.Cfg.SimJobs,
-				SizeShape: 4, // jobs of "approximately the same size"
-				Seed:      e.Cfg.Seed,
-				Metrics:   e.Cfg.Metrics,
-				Faults:    opt.Faults,
+	axes := []scenario.Axis{
+		{Name: "dispatcher", Values: opt.Dispatchers},
+		{Name: "load", Values: labels(opt.Loads, scenario.FormatFloat)},
+	}
+	run := func(pt scenario.Point) farmRun {
+		// The base seed carries no axis: every (dispatcher, load) cell
+		// of a replication sees the same arrival streams (common random
+		// numbers).
+		cfg := e.farmConfig(opt.Loads[pt.Index("load")]*capacity, e.Cfg.Seed)
+		cfg.Metrics = e.Cfg.Metrics
+		cfg.Faults = opt.Faults
+		return farmRun{specs, opt.Dispatchers[pt.Index("dispatcher")], cfg}
+	}
+	return replicated(e, "farm", axes, opt.Replications, run, func(aggs []*farm.SweepResult) (*scenario.Result, error) {
+		r := &FarmResult{
+			Name:         name,
+			Workload:     farmWorkload(e).Key(),
+			Capacity:     capacity,
+			Servers:      opt.Servers,
+			Replications: opt.Replications,
+			Faulted:      opt.Faults.Enabled(),
+			Dispatchers:  opt.Dispatchers,
+			Loads:        opt.Loads,
+			Cells:        aggs,
+		}
+		tbl := scenario.NewTable("farm", str("dispatcher"), flt("load"),
+			flt("mean_turnaround"), flt("p50_turnaround"), flt("p95_turnaround"), flt("p99_turnaround"),
+			flt("turnaround_std"), flt("utilisation"), flt("empty_fraction"), flt("throughput"))
+		for i, c := range aggs {
+			tbl.Add(opt.Dispatchers[i/len(opt.Loads)], opt.Loads[i%len(opt.Loads)],
+				c.MeanTurnaround, c.P50Turnaround, c.P95Turnaround, c.P99Turnaround,
+				c.TurnaroundStd, c.Utilisation, c.EmptyFraction, c.Throughput)
+			if c.Metrics != nil {
+				if r.Metrics == nil {
+					r.Metrics = &metrics.Snapshot{}
+				}
+				r.Metrics.Merge(c.Metrics)
 			}
-			rep, err := farm.Replicate(specs, disp, w, cfg, pt.Index("rep"))
+		}
+		tables := []*scenario.Table{tbl}
+		if r.Metrics != nil {
+			tables = append(tables, metricsTable("farm_metrics", r.Metrics))
+		}
+		return &scenario.Result{Value: r, Text: r.Format(), Tables: tables}, nil
+	}), nil
+}
+
+// farmRun is one point of a replicated farm grid: the fleet, the
+// dispatcher's name and the run's configuration.
+type farmRun struct {
+	specs []farm.ServerSpec
+	disp  string
+	cfg   farm.Config
+}
+
+// farmConfig is the farm scenarios' stock run: Cfg.SimJobs jobs of
+// "approximately the same size" (Erlang-4 around mean 1) arriving at
+// rate lambda.
+func (e *Env) farmConfig(lambda float64, seed uint64) farm.Config {
+	return farm.Config{Lambda: lambda, Jobs: e.Cfg.SimJobs, SizeShape: 4, Seed: seed}
+}
+
+// replicated lays a grid of replicated farm runs out on the scenario
+// engine: axes plus an innermost "rep" axis of reps points. run names
+// the farm run at a point, and farm.Replicate derives each
+// replication's streams from the rep index. reduce receives one
+// aggregate per point of axes, each folded over its replications in
+// enumeration order, so the result is bit-identical at any parallelism.
+func replicated(e *Env, name string, axes []scenario.Axis, reps int, run func(pt scenario.Point) farmRun,
+	reduce func(aggs []*farm.SweepResult) (*scenario.Result, error)) *scenario.Plan {
+	w := farmWorkload(e)
+	repLabels := make([]string, reps)
+	for i := range repLabels {
+		repLabels[i] = strconv.Itoa(i)
+	}
+	return &scenario.Plan{
+		Axes: append(axes[:len(axes):len(axes)], scenario.Axis{Name: "rep", Values: repLabels}),
+		Cell: func(_ context.Context, pt scenario.Point) (any, error) {
+			r := run(pt)
+			rep, err := farm.Replicate(r.specs, r.disp, w, r.cfg, pt.Index("rep"))
 			if err != nil {
-				return nil, fmt.Errorf("farm %s load %.2f: %w", disp, load, err)
+				at := name
+				for _, a := range axes {
+					at += " " + a.Name + "=" + pt.Value(a.Name)
+				}
+				return nil, fmt.Errorf("%s: %w", at, err)
 			}
 			return rep, nil
 		},
 		Reduce: func(cells []any) (*scenario.Result, error) {
-			r := &FarmResult{
-				Name:         name,
-				Workload:     w.Key(),
-				Capacity:     capacity,
-				Servers:      opt.Servers,
-				Replications: reps,
-				Faulted:      opt.Faults.Enabled(),
-			}
-			aggs := foldReps(cells, reps)
-			for _, agg := range aggs {
-				if agg.Metrics == nil {
-					continue
+			aggs := make([]*farm.SweepResult, 0, len(cells)/reps)
+			for i := 0; i < len(cells); i += reps {
+				runs := make([]farm.Replication, reps)
+				for k := range runs {
+					runs[k] = cells[i+k].(farm.Replication)
 				}
-				if r.Metrics == nil {
-					r.Metrics = &metrics.Snapshot{}
-				}
-				r.Metrics.Merge(agg.Metrics)
+				aggs = append(aggs, farm.Aggregate(runs))
 			}
-			ci := 0
-			for _, disp := range opt.Dispatchers {
-				for _, load := range opt.Loads {
-					cell := aggs[ci]
-					ci++
-					r.Cells = append(r.Cells, FarmCell{
-						Dispatcher:     disp,
-						Load:           load,
-						MeanTurnaround: cell.MeanTurnaround,
-						P50Turnaround:  cell.P50Turnaround,
-						P95Turnaround:  cell.P95Turnaround,
-						P99Turnaround:  cell.P99Turnaround,
-						TurnaroundStd:  cell.TurnaroundStd,
-						Utilisation:    cell.Utilisation,
-						EmptyFraction:  cell.EmptyFraction,
-						Throughput:     cell.Throughput,
-						Availability:   cell.Availability,
-						Goodput:        cell.Goodput,
-						WastedWork:     cell.WastedWork,
-						Redispatches:   cell.Redispatches,
-						Dropped:        cell.Dropped,
-						Parked:         cell.Parked,
-					})
-				}
-			}
-			tbl, err := resultTable(tableName, r)
-			if err != nil {
-				return nil, err
-			}
-			tables := []*scenario.Table{tbl}
-			if r.Metrics != nil {
-				tables = append(tables, MetricsTable(tableName+"_metrics", r.Metrics))
-			}
-			return &scenario.Result{Value: r, Text: r.Format(), Tables: tables}, nil
+			return reduce(aggs)
 		},
-	}, nil
-}
-
-// foldReps groups a scenario grid's cell stream — replications innermost
-// — into one aggregated SweepResult per grid row, folding in enumeration
-// order so the aggregates are bit-identical at any parallelism level.
-func foldReps(cells []any, reps int) []*farm.SweepResult {
-	out := make([]*farm.SweepResult, 0, len(cells)/reps)
-	for i := 0; i < len(cells); i += reps {
-		runs := make([]farm.Replication, reps)
-		for k := range runs {
-			runs[k] = cells[i+k].(farm.Replication)
-		}
-		out = append(out, farm.Aggregate(runs))
 	}
-	return out
 }
 
-// MetricsTable renders a merged metrics snapshot as a scenario table.
+// metricsTable renders a merged metrics snapshot as a scenario table.
 // Value cells carry the rows' canonical formatted bytes (integers for
 // counters, 'g'/10 floats otherwise), so the CSV is the snapshot's exact
 // deterministic serialisation.
-func MetricsTable(name string, snap *metrics.Snapshot) *scenario.Table {
+func metricsTable(name string, snap *metrics.Snapshot) *scenario.Table {
 	t := scenario.NewTable(name,
-		scenario.StrCol("metric"), scenario.StrCol("kind"),
-		scenario.StrCol("field"), scenario.StrCol("value"))
+		str("metric"), str("kind"),
+		str("field"), str("value"))
 	for _, r := range snap.Rows {
 		t.Add(r.Metric, r.Kind, r.Field, r.FormatValue())
 	}
@@ -326,50 +298,31 @@ func MetricsTable(name string, snap *metrics.Snapshot) *scenario.Table {
 // servers over the oracle tables, all-SMT or alternating SMT/quad — plus
 // its calibrated aggregate capacity.
 func fcfsFarm(e *Env, n int, hetero bool) ([]farm.ServerSpec, float64, error) {
-	opt := FarmOptions{Servers: n, Hetero: hetero}.withDefaults()
-	w := farmWorkload(e)
-	specs, err := farmSpecs(e, opt, w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return specs, farmCapacity(e, specs, w), nil
+	return farmFleet(e, FarmOptions{Servers: n, Hetero: hetero}.withDefaults())
 }
 
 // Farm runs the dispatcher-by-load grid through the scenario engine:
 // every cell averages opt.Replications independent farm simulations, and
 // the grid is bit-identical at any parallelism level. A cancelled ctx
-// (e.g. farmsim's SIGINT handler) aborts the sweep mid-grid and returns
-// the context's error; no partial result is produced.
+// aborts the sweep mid-grid and returns the context's error; no partial
+// result is produced.
 func Farm(ctx context.Context, e *Env, opt FarmOptions) (*FarmResult, error) {
-	p, err := farmPlan(e, opt, "farm")
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.Execute(ctx, e.runCfg("farm"))
-	if err != nil {
-		return nil, err
-	}
-	return res.Value.(*FarmResult), nil
+	return result[*FarmResult](ctx, e, FarmScenario(opt))
 }
 
 // Cell returns the aggregate for a dispatcher and load.
-func (r *FarmResult) Cell(dispatcher string, load float64) (FarmCell, bool) {
-	for _, c := range r.Cells {
-		if c.Dispatcher == dispatcher && c.Load == load {
+func (r *FarmResult) Cell(dispatcher string, load float64) (*farm.SweepResult, bool) {
+	for i, c := range r.Cells {
+		if r.Dispatchers[i/len(r.Loads)] == dispatcher && r.Loads[i%len(r.Loads)] == load {
 			return c, true
 		}
 	}
-	return FarmCell{}, false
+	return nil, false
 }
 
-// loads returns the distinct loads in first-seen order.
-func (r *FarmResult) loads() []float64 {
-	return scenario.Distinct(r.Cells, func(c FarmCell) float64 { return c.Load })
-}
-
-// dispatchers returns the distinct dispatchers in first-seen order.
-func (r *FarmResult) dispatchers() []string {
-	return scenario.Distinct(r.Cells, func(c FarmCell) string { return c.Dispatcher })
+// grid returns the dispatcher x load panel renderer over the cells.
+func (r *FarmResult) grid(b *strings.Builder) loadGrid[*farm.SweepResult] {
+	return loadGrid[*farm.SweepResult]{b: b, indent: "  ", width: 8, labels: r.Dispatchers, loads: r.Loads, cells: r.Cells}
 }
 
 // Format renders the grid: turnaround (mean and p95), utilisation and
@@ -378,39 +331,24 @@ func (r *FarmResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Server farm (%s): workload %s, aggregate FCFS capacity %.3f, %d replications/cell\n",
 		r.Name, r.Workload, r.Capacity, r.Replications)
-	loads := r.loads()
-	panel := func(title string, get func(FarmCell) float64, format string) {
-		fmt.Fprintf(&b, "  %s\n          ", title)
-		for _, l := range loads {
-			fmt.Fprintf(&b, "  load=%.2f", l)
-		}
-		fmt.Fprintln(&b)
-		for _, d := range r.dispatchers() {
-			fmt.Fprintf(&b, "  %-8s", d)
-			for _, l := range loads {
-				c, _ := r.Cell(d, l)
-				fmt.Fprintf(&b, format, get(c))
-			}
-			fmt.Fprintln(&b)
-		}
-	}
-	panel("mean turnaround time (± std across replications below)",
-		func(c FarmCell) float64 { return c.MeanTurnaround }, "  %9.3f")
-	panel("p95 turnaround time",
-		func(c FarmCell) float64 { return c.P95Turnaround }, "  %9.3f")
-	panel("turnaround std across replications",
-		func(c FarmCell) float64 { return c.TurnaroundStd }, "  %9.3f")
-	panel("farm utilisation (busy contexts / total contexts)",
-		func(c FarmCell) float64 { return c.Utilisation }, "  %9.3f")
-	panel("per-server empty fraction (mean over servers)",
-		func(c FarmCell) float64 { return c.EmptyFraction }, "  %9.4f")
+	g := r.grid(&b)
+	g.panel("mean turnaround time (± std across replications below)", "  %9.3f",
+		func(c *farm.SweepResult) float64 { return c.MeanTurnaround })
+	g.panel("p95 turnaround time", "  %9.3f",
+		func(c *farm.SweepResult) float64 { return c.P95Turnaround })
+	g.panel("turnaround std across replications", "  %9.3f",
+		func(c *farm.SweepResult) float64 { return c.TurnaroundStd })
+	g.panel("farm utilisation (busy contexts / total contexts)", "  %9.3f",
+		func(c *farm.SweepResult) float64 { return c.Utilisation })
+	g.panel("per-server empty fraction (mean over servers)", "  %9.4f",
+		func(c *farm.SweepResult) float64 { return c.EmptyFraction })
 	if r.Faulted {
-		panel("availability (1 - down server-time fraction)",
-			func(c FarmCell) float64 { return c.Availability }, "  %9.4f")
-		panel("goodput (completed work per time unit)",
-			func(c FarmCell) float64 { return c.Goodput }, "  %9.3f")
-		panel("redispatches (total across replications)",
-			func(c FarmCell) float64 { return float64(c.Redispatches) }, "  %9.0f")
+		g.panel("availability (1 - down server-time fraction)", "  %9.4f",
+			func(c *farm.SweepResult) float64 { return c.Availability })
+		g.panel("goodput (completed work per time unit)", "  %9.3f",
+			func(c *farm.SweepResult) float64 { return c.Goodput })
+		g.panel("redispatches (total across replications)", "  %9.0f",
+			func(c *farm.SweepResult) float64 { return float64(c.Redispatches) })
 	}
 	return b.String()
 }
@@ -421,23 +359,37 @@ func (r *FarmResult) Format() string {
 func (r *FarmResult) FormatQuantiles() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Turnaround quantiles (%s), mean over %d replications/cell\n", r.Name, r.Replications)
-	loads := r.loads()
-	panel := func(title string, get func(FarmCell) float64) {
-		fmt.Fprintf(&b, "  %s\n          ", title)
-		for _, l := range loads {
-			fmt.Fprintf(&b, "  load=%.2f", l)
-		}
-		fmt.Fprintln(&b)
-		for _, d := range r.dispatchers() {
-			fmt.Fprintf(&b, "  %-8s", d)
-			for _, l := range loads {
-				c, _ := r.Cell(d, l)
-				fmt.Fprintf(&b, "  %9.3f", get(c))
-			}
-			fmt.Fprintln(&b)
-		}
-	}
-	panel("p50 turnaround time (median)", func(c FarmCell) float64 { return c.P50Turnaround })
-	panel("p99 turnaround time (tail SLO)", func(c FarmCell) float64 { return c.P99Turnaround })
+	g := r.grid(&b)
+	g.panel("p50 turnaround time (median)", "  %9.3f",
+		func(c *farm.SweepResult) float64 { return c.P50Turnaround })
+	g.panel("p99 turnaround time (tail SLO)", "  %9.3f",
+		func(c *farm.SweepResult) float64 { return c.P99Turnaround })
 	return b.String()
+}
+
+// loadGrid renders label x load text panels over cells stored
+// label-major, load-minor: each panel is a title line, a header of
+// loads, then one row per label.
+type loadGrid[C any] struct {
+	b      *strings.Builder
+	indent string
+	width  int // label column width
+	labels []string
+	loads  []float64
+	cells  []C
+}
+
+func (g loadGrid[C]) panel(title, format string, get func(C) float64) {
+	fmt.Fprintf(g.b, "%s%s\n%*s", g.indent, title, len(g.indent)+g.width, "")
+	for _, l := range g.loads {
+		fmt.Fprintf(g.b, "  load=%.2f", l)
+	}
+	g.b.WriteString("\n")
+	for i, label := range g.labels {
+		fmt.Fprintf(g.b, "%s%-*s", g.indent, g.width, label)
+		for j := range g.loads {
+			fmt.Fprintf(g.b, format, get(g.cells[i*len(g.loads)+j]))
+		}
+		g.b.WriteString("\n")
+	}
 }

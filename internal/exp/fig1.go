@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"symbiosched/internal/core"
+	"symbiosched/internal/scenario"
 )
 
 // Fig1Result reproduces Figure 1: the variation of per-job IPC,
@@ -24,18 +25,28 @@ type ConfigVariability struct {
 
 // Fig1 runs (or reuses) the N=4 suite sweeps on both configurations.
 func Fig1(e *Env) (*Fig1Result, error) {
-	smt, err := e.SMTSweep()
+	smt, quad, err := perMachine(e, func(m Machine, sa *core.SuiteAnalysis) ConfigVariability {
+		return ConfigVariability{Name: e.Table(m).Name(), JobIPC: sa.JobIPC, InstTP: sa.InstTP, AvgTP: sa.AvgTP}
+	})
 	if err != nil {
 		return nil, err
 	}
-	quad, err := e.QuadSweep()
-	if err != nil {
-		return nil, err
+	return &Fig1Result{SMT: smt, Quad: quad}, nil
+}
+
+// table lists the three bars of both configurations.
+func (r *Fig1Result) table(name string) *scenario.Table {
+	t := scenario.NewTable(name, str("config"), str("metric"),
+		flt("avg_best"), flt("avg_worst"), flt("max_best"), flt("min_worst"), flt("variability"))
+	for _, cv := range []ConfigVariability{r.SMT, r.Quad} {
+		for _, m := range []struct {
+			name string
+			s    core.SpreadStats
+		}{{"job_ipc", cv.JobIPC}, {"inst_tp", cv.InstTP}, {"avg_tp", cv.AvgTP}} {
+			t.Add(cv.Name, m.name, m.s.AvgBest, m.s.AvgWorst, m.s.MaxBest, m.s.MinWorst, m.s.Variability())
+		}
 	}
-	return &Fig1Result{
-		SMT:  ConfigVariability{Name: e.SMTTable().Name(), JobIPC: smt.JobIPC, InstTP: smt.InstTP, AvgTP: smt.AvgTP},
-		Quad: ConfigVariability{Name: e.QuadTable().Name(), JobIPC: quad.JobIPC, InstTP: quad.InstTP, AvgTP: quad.AvgTP},
-	}, nil
+	return t
 }
 
 // Format renders the figure's bars as text, with the paper's values quoted.

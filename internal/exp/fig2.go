@@ -3,16 +3,18 @@ package exp
 import (
 	"fmt"
 	"strings"
+
+	"symbiosched/internal/core"
+	"symbiosched/internal/scenario"
 )
 
 // Fig2Point is one workload's point in the Figure 2 scatter plot:
 // both axes normalised to the worst scheduler's throughput.
 type Fig2Point struct {
-	Workload     string
-	OptVsWorst   float64 // X axis
-	FCFSVsWorst  float64 // Y axis
-	FCFSVsOpt    float64
-	GapBridgePct float64 // (FCFS-worst)/(opt-worst)
+	Workload    string
+	OptVsWorst  float64 // X axis
+	FCFSVsWorst float64 // Y axis
+	FCFSVsOpt   float64
 }
 
 // Fig2Result reproduces Figure 2 for one configuration.
@@ -29,33 +31,27 @@ type Fig2Result struct {
 
 // Fig2 computes the scatter for both configurations.
 func Fig2(e *Env) (smt, quad *Fig2Result, err error) {
-	ssweep, err := e.SMTSweep()
-	if err != nil {
-		return nil, nil, err
+	return perMachine(e, func(m Machine, sa *core.SuiteAnalysis) *Fig2Result {
+		r := &Fig2Result{Name: e.Table(m).Name(), Slope: sa.Slope, GapBridge: sa.GapBridge}
+		for _, a := range sa.Workloads {
+			r.Points = append(r.Points, Fig2Point{
+				Workload:    a.Workload.Key(),
+				OptVsWorst:  a.OptimalTP / a.WorstTP,
+				FCFSVsWorst: a.FCFSTP / a.WorstTP,
+				FCFSVsOpt:   a.FCFSTP / a.OptimalTP,
+			})
+		}
+		return r
+	})
+}
+
+// table lists the scatter's points.
+func (r *Fig2Result) table(name string) *scenario.Table {
+	t := scenario.NewTable(name, str("workload"), flt("opt_vs_worst"), flt("fcfs_vs_worst"))
+	for _, p := range r.Points {
+		t.Add(p.Workload, p.OptVsWorst, p.FCFSVsWorst)
 	}
-	qsweep, err := e.QuadSweep()
-	if err != nil {
-		return nil, nil, err
-	}
-	smt = &Fig2Result{Name: e.SMTTable().Name(), Slope: ssweep.Slope, GapBridge: ssweep.GapBridge}
-	for _, a := range ssweep.Workloads {
-		smt.Points = append(smt.Points, Fig2Point{
-			Workload:    a.Workload.Key(),
-			OptVsWorst:  a.OptimalTP / a.WorstTP,
-			FCFSVsWorst: a.FCFSTP / a.WorstTP,
-			FCFSVsOpt:   a.FCFSTP / a.OptimalTP,
-		})
-	}
-	quad = &Fig2Result{Name: e.QuadTable().Name(), Slope: qsweep.Slope, GapBridge: qsweep.GapBridge}
-	for _, a := range qsweep.Workloads {
-		quad.Points = append(quad.Points, Fig2Point{
-			Workload:    a.Workload.Key(),
-			OptVsWorst:  a.OptimalTP / a.WorstTP,
-			FCFSVsWorst: a.FCFSTP / a.WorstTP,
-			FCFSVsOpt:   a.FCFSTP / a.OptimalTP,
-		})
-	}
-	return smt, quad, nil
+	return t
 }
 
 // Format renders the regression summary and a coarse text scatter.

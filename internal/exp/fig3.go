@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"symbiosched/internal/core"
+	"symbiosched/internal/scenario"
 	"symbiosched/internal/stats"
 )
 
@@ -33,17 +34,9 @@ type Fig3Result struct {
 
 // Fig3 computes the bottleneck scatter for both configurations.
 func Fig3(e *Env) (smt, quad *Fig3Result, err error) {
-	ssweep, err := e.SMTSweep()
-	if err != nil {
-		return nil, nil, err
-	}
-	qsweep, err := e.QuadSweep()
-	if err != nil {
-		return nil, nil, err
-	}
-	smt = buildFig3(e.SMTTable().Name(), ssweep)
-	quad = buildFig3(e.QuadTable().Name(), qsweep)
-	return smt, quad, nil
+	return perMachine(e, func(m Machine, sa *core.SuiteAnalysis) *Fig3Result {
+		return buildFig3(e.Table(m).Name(), sa)
+	})
 }
 
 func buildFig3(name string, sa *core.SuiteAnalysis) *Fig3Result {
@@ -70,6 +63,15 @@ func buildFig3(name string, sa *core.SuiteAnalysis) *Fig3Result {
 		_, _, r.LowDiffCorr = stats.LinearFit(xs, ys)
 	}
 	return r
+}
+
+// table lists the scatter's points.
+func (r *Fig3Result) table(name string) *scenario.Table {
+	t := scenario.NewTable(name, str("workload"), flt("bottleneck_err"), flt("opt_vs_worst"), flt("type_wipc_diff"))
+	for _, p := range r.Points {
+		t.Add(p.Workload, p.BottleneckErr, p.OptVsWorst, p.TypeWIPCDiff)
+	}
+	return t
 }
 
 // Format renders the correlation summary and binned scatter.

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"symbiosched/internal/queueing"
+	"symbiosched/internal/scenario"
 )
 
 // Fig4Result reproduces Figure 4 and the Section VI M/M/4 example: the
@@ -50,6 +51,15 @@ func Fig4(e *Env) (*Fig4Result, error) {
 	}
 	r.TurnaroundReduction = 1 - r.ExampleImprovedTurnaround/r.ExampleBaseTurnaround
 	return r, nil
+}
+
+// table lists both curves.
+func (r *Fig4Result) table(name string) *scenario.Table {
+	t := scenario.NewTable(name, flt("lambda"), flt("turnaround_mu1"), flt("turnaround_mu1.03"))
+	for i := range r.Base {
+		t.Add(r.Base[i].Lambda, r.Base[i].Turnaround, r.Improved[i].Turnaround)
+	}
+	return t
 }
 
 // Format renders the curve and the worked example.

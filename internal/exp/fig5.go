@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"symbiosched/internal/eventsim"
-	"symbiosched/internal/online"
 	"symbiosched/internal/perfdb"
 	"symbiosched/internal/scenario"
 	"symbiosched/internal/sched"
@@ -40,28 +39,22 @@ type Fig5Result struct {
 	Cells     []Fig5Cell // ordered scheduler-major, load-minor
 }
 
-// SchedulerNames lists the Section VI schedulers in the paper's order.
-var SchedulerNames = sched.Names
-
-// newScheduler builds a fresh scheduler instance over a rate source — the
-// oracle table in the paper's experiments, a learned estimator in the
-// online ones (MAXTP carries state and must not be shared across runs).
-func newScheduler(name string, rs online.RateSource, w workload.Workload) (sched.Scheduler, error) {
-	return sched.New(name, rs, w)
-}
-
 // sampledWorkloads returns the N=4 workloads of the sweep, thinned to
 // cfg.SampleWorkloads when set.
 func (e *Env) sampledWorkloads() []workload.Workload {
-	all := workload.EnumerateWorkloads(len(e.Cfg.Suite), 4)
-	n := e.Cfg.SampleWorkloads
-	if n <= 0 || n >= len(all) {
-		return all
+	return thin(workload.EnumerateWorkloads(len(e.Cfg.Suite), 4), e.Cfg.SampleWorkloads)
+}
+
+// thin keeps every (len/n)-th workload, at most n of them; n <= 0 keeps
+// them all.
+func thin(ws []workload.Workload, n int) []workload.Workload {
+	if n <= 0 || n >= len(ws) {
+		return ws
 	}
-	step := len(all) / n
+	step := len(ws) / n
 	var out []workload.Workload
-	for i := 0; i < len(all) && len(out) < n; i += step {
-		out = append(out, all[i])
+	for i := 0; i < len(ws) && len(out) < n; i += step {
+		out = append(out, ws[i])
 	}
 	return out
 }
@@ -78,9 +71,9 @@ type fig5Acc struct {
 // reduction folds the cells in workload order — so float sums, and hence
 // the golden CSV, are identical at every parallelism level.
 func fig5Plan(e *Env) (*scenario.Plan, error) {
-	t := e.SMTTable()
+	t := e.Table(SMT)
 	ws := e.sampledWorkloads()
-	sweep, err := e.SMTSweep()
+	sweep, err := e.Sweep(SMT)
 	if err != nil {
 		return nil, err
 	}
@@ -93,68 +86,61 @@ func fig5Plan(e *Env) (*scenario.Plan, error) {
 		fcfsTP[perfdb.Key(workload.Coschedule(a.Workload))] = a.FCFSTP
 	}
 
-	// One workload's contribution: [scheduler][load], turnaround already
-	// normalised to the workload's own FCFS run.
-	perWorkload := func(wi int) ([][]fig5Acc, error) {
-		w := ws[wi]
-		base, ok := fcfsTP[perfdb.Key(workload.Coschedule(w))]
-		if !ok || base <= 0 {
-			return nil, nil // skipped workloads contribute nothing
-		}
-		local := make([][]fig5Acc, len(SchedulerNames))
-		for i := range local {
-			local[i] = make([]fig5Acc, len(Fig5Loads))
-		}
-		fcfsTurn := make([]float64, len(Fig5Loads))
-		for li, load := range Fig5Loads {
-			for si, name := range SchedulerNames {
-				s, err := newScheduler(name, t, w)
-				if err != nil {
-					return nil, fmt.Errorf("workload %v %s load %.2f: %w", w, name, load, err)
-				}
-				// Job sizes are Erlang-4 around mean 1: jobs of
-				// "approximately the same size" (Section VI) with
-				// enough variance for the queueing behaviour a
-				// latency experiment near saturation is about.
-				res, err := eventsim.Latency(t, w, s, eventsim.LatencyConfig{
-					Lambda:    load * base,
-					Jobs:      e.Cfg.SimJobs,
-					SizeShape: 4,
-					Seed:      e.Cfg.Seed + uint64(wi)*31 + uint64(li),
-				})
-				if err != nil {
-					return nil, fmt.Errorf("workload %v %s load %.2f: %w", w, name, load, err)
-				}
-				if name == "FCFS" {
-					fcfsTurn[li] = res.MeanTurnaround
-				}
-				local[si][li] = fig5Acc{res.MeanTurnaround, res.Utilisation, res.EmptyFraction}
-			}
-		}
-		for si := range local {
-			for li := range local[si] {
-				if fcfsTurn[li] > 0 {
-					local[si][li].turnaround /= fcfsTurn[li]
-				} else {
-					local[si][li].turnaround = 1
-				}
-			}
-		}
-		return local, nil
-	}
-
 	return &scenario.Plan{
-		Axes: []scenario.Axis{{Name: "workload", Values: workloadLabels(ws)}},
+		Axes: []scenario.Axis{{Name: "workload", Values: labels(ws, workload.Workload.Key)}},
+		// One workload's contribution: [scheduler][load], turnaround
+		// already normalised to the workload's own FCFS run.
 		Cell: func(_ context.Context, pt scenario.Point) (any, error) {
-			local, err := perWorkload(pt.Index("workload"))
-			if err != nil {
-				return nil, err
+			wi := pt.Index("workload")
+			w := ws[wi]
+			base := fcfsTP[perfdb.Key(workload.Coschedule(w))]
+			if base <= 0 {
+				return nil, fmt.Errorf("fig5: workload %v has no FCFS throughput", w)
+			}
+			local := make([][]fig5Acc, len(sched.Names))
+			for i := range local {
+				local[i] = make([]fig5Acc, len(Fig5Loads))
+			}
+			fcfsTurn := make([]float64, len(Fig5Loads))
+			for li, load := range Fig5Loads {
+				for si, name := range sched.Names {
+					s, err := sched.New(name, t, w)
+					if err != nil {
+						return nil, fmt.Errorf("workload %v %s load %.2f: %w", w, name, load, err)
+					}
+					// Job sizes are Erlang-4 around mean 1: jobs of
+					// "approximately the same size" (Section VI) with
+					// enough variance for the queueing behaviour a
+					// latency experiment near saturation is about.
+					res, err := eventsim.Latency(t, w, s, eventsim.LatencyConfig{
+						Lambda:    load * base,
+						Jobs:      e.Cfg.SimJobs,
+						SizeShape: 4,
+						Seed:      e.Cfg.Seed + uint64(wi)*31 + uint64(li),
+					})
+					if err != nil {
+						return nil, fmt.Errorf("workload %v %s load %.2f: %w", w, name, load, err)
+					}
+					if name == "FCFS" {
+						fcfsTurn[li] = res.MeanTurnaround
+					}
+					local[si][li] = fig5Acc{res.MeanTurnaround, res.Utilisation, res.EmptyFraction}
+				}
+			}
+			for si := range local {
+				for li := range local[si] {
+					if fcfsTurn[li] > 0 {
+						local[si][li].turnaround /= fcfsTurn[li]
+					} else {
+						local[si][li].turnaround = 1
+					}
+				}
 			}
 			return local, nil
 		},
 		Reduce: func(cells []any) (*scenario.Result, error) {
 			// accs[scheduler][load], folded in workload order.
-			accs := make([][]fig5Acc, len(SchedulerNames))
+			accs := make([][]fig5Acc, len(sched.Names))
 			for i := range accs {
 				accs[i] = make([]fig5Acc, len(Fig5Loads))
 			}
@@ -169,22 +155,22 @@ func fig5Plan(e *Env) (*scenario.Plan, error) {
 				}
 			}
 			r := &Fig5Result{Name: t.Name(), Workloads: len(ws)}
+			tbl := scenario.NewTable("fig5", str("scheduler"), flt("load"),
+				flt("turnaround_vs_fcfs"), flt("utilisation"), flt("empty_fraction"))
 			n := float64(len(ws))
-			for si, name := range SchedulerNames {
+			for si, name := range sched.Names {
 				for li, load := range Fig5Loads {
 					a := accs[si][li]
-					r.Cells = append(r.Cells, Fig5Cell{
+					c := Fig5Cell{
 						Scheduler:        name,
 						Load:             load,
 						TurnaroundVsFCFS: a.turnaround / n,
 						Utilisation:      a.util / n,
 						EmptyFraction:    a.empty / n,
-					})
+					}
+					r.Cells = append(r.Cells, c)
+					tbl.Add(c.Scheduler, c.Load, c.TurnaroundVsFCFS, c.Utilisation, c.EmptyFraction)
 				}
-			}
-			tbl, err := resultTable("fig5", r)
-			if err != nil {
-				return nil, err
 			}
 			return &scenario.Result{Value: r, Text: r.Format(), Tables: []*scenario.Table{tbl}}, nil
 		},
@@ -193,24 +179,7 @@ func fig5Plan(e *Env) (*scenario.Plan, error) {
 
 // Fig5 runs the latency experiments on the SMT configuration.
 func Fig5(e *Env) (*Fig5Result, error) {
-	p, err := fig5Plan(e)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.Execute(context.Background(), e.runCfg("fig5"))
-	if err != nil {
-		return nil, err
-	}
-	return res.Value.(*Fig5Result), nil
-}
-
-// workloadLabels renders a workload axis with the canonical Key labels.
-func workloadLabels(ws []workload.Workload) []string {
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = w.Key()
-	}
-	return out
+	return result[*Fig5Result](context.Background(), e, Fig5Scenario())
 }
 
 // Cell returns the aggregate for a scheduler and load.
@@ -227,26 +196,12 @@ func (r *Fig5Result) Cell(scheduler string, load float64) (Fig5Cell, bool) {
 func (r *Fig5Result) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5 (%s, %d workloads): latency experiment, loads relative to FCFS max throughput\n", r.Name, r.Workloads)
-	panel := func(title string, get func(Fig5Cell) float64, format string) {
-		fmt.Fprintf(&b, "  %s\n        ", title)
-		for _, l := range Fig5Loads {
-			fmt.Fprintf(&b, "  load=%.2f", l)
-		}
-		fmt.Fprintln(&b)
-		for _, name := range SchedulerNames {
-			fmt.Fprintf(&b, "  %-6s", name)
-			for _, l := range Fig5Loads {
-				c, _ := r.Cell(name, l)
-				fmt.Fprintf(&b, format, get(c))
-			}
-			fmt.Fprintln(&b)
-		}
-	}
-	panel("turnaround time normalised to FCFS [paper: SRPT lowest at 0.8/0.9; MAXTP ~0.77 at 0.95]",
-		func(c Fig5Cell) float64 { return c.TurnaroundVsFCFS }, "  %9.3f")
-	panel("processor utilisation (busy contexts) [paper: ~2.5-3.7, MAXTP lowest]",
-		func(c Fig5Cell) float64 { return c.Utilisation }, "  %9.3f")
-	panel("processor empty fraction [paper: ~0.02-0.13, MAXTP highest]",
-		func(c Fig5Cell) float64 { return c.EmptyFraction }, "  %9.4f")
+	g := loadGrid[Fig5Cell]{b: &b, indent: "  ", width: 6, labels: sched.Names, loads: Fig5Loads, cells: r.Cells}
+	g.panel("turnaround time normalised to FCFS [paper: SRPT lowest at 0.8/0.9; MAXTP ~0.77 at 0.95]", "  %9.3f",
+		func(c Fig5Cell) float64 { return c.TurnaroundVsFCFS })
+	g.panel("processor utilisation (busy contexts) [paper: ~2.5-3.7, MAXTP lowest]", "  %9.3f",
+		func(c Fig5Cell) float64 { return c.Utilisation })
+	g.panel("processor empty fraction [paper: ~0.02-0.13, MAXTP highest]", "  %9.4f",
+		func(c Fig5Cell) float64 { return c.EmptyFraction })
 	return b.String()
 }

@@ -9,6 +9,8 @@ import (
 	"symbiosched/internal/core"
 	"symbiosched/internal/eventsim"
 	"symbiosched/internal/scenario"
+	"symbiosched/internal/sched"
+	"symbiosched/internal/workload"
 )
 
 // Fig6Point is one workload in Figure 6: the throughput each online
@@ -38,50 +40,43 @@ type Fig6Result struct {
 // workload (LP bounds plus one max-throughput simulation per scheduler),
 // reduced in workload order into the sorted point list and its means.
 func fig6Plan(e *Env) (*scenario.Plan, error) {
-	t := e.SMTTable()
+	t := e.Table(SMT)
 	ws := e.sampledWorkloads()
-	perWorkload := func(wi int) (Fig6Point, error) {
-		w := ws[wi]
-		opt, err := core.Optimal(t, w)
-		if err != nil {
-			return Fig6Point{}, fmt.Errorf("workload %v: %w", w, err)
-		}
-		worst, err := core.Worst(t, w)
-		if err != nil {
-			return Fig6Point{}, fmt.Errorf("workload %v: %w", w, err)
-		}
-		cfg := eventsim.MaxThroughputConfig{Jobs: e.Cfg.SimJobs, Seed: e.Cfg.Seed + uint64(wi)}
-		tps := map[string]float64{}
-		for _, name := range SchedulerNames {
-			s, err := newScheduler(name, t, w)
-			if err != nil {
-				return Fig6Point{}, fmt.Errorf("workload %v: %w", w, err)
-			}
-			res, err := eventsim.MaxThroughput(t, w, s, cfg)
-			if err != nil {
-				return Fig6Point{}, fmt.Errorf("workload %v: %w", w, err)
-			}
-			tps[name] = res.Throughput
-		}
-		base := tps["FCFS"]
-		return Fig6Point{
-			Workload:       w.Key(),
-			TheoreticalMax: opt.Throughput / base,
-			TheoreticalMin: worst.Throughput / base,
-			MAXIT:          tps["MAXIT"] / base,
-			SRPT:           tps["SRPT"] / base,
-			MAXTP:          tps["MAXTP"] / base,
-		}, nil
-	}
-
 	return &scenario.Plan{
-		Axes: []scenario.Axis{{Name: "workload", Values: workloadLabels(ws)}},
+		Axes: []scenario.Axis{{Name: "workload", Values: labels(ws, workload.Workload.Key)}},
 		Cell: func(_ context.Context, pt scenario.Point) (any, error) {
-			p, err := perWorkload(pt.Index("workload"))
+			wi := pt.Index("workload")
+			w := ws[wi]
+			opt, err := core.Optimal(t, w)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("workload %v: %w", w, err)
 			}
-			return p, nil
+			worst, err := core.Worst(t, w)
+			if err != nil {
+				return nil, fmt.Errorf("workload %v: %w", w, err)
+			}
+			cfg := eventsim.MaxThroughputConfig{Jobs: e.Cfg.SimJobs, Seed: e.Cfg.Seed + uint64(wi)}
+			tps := map[string]float64{}
+			for _, name := range sched.Names {
+				s, err := sched.New(name, t, w)
+				if err != nil {
+					return nil, fmt.Errorf("workload %v: %w", w, err)
+				}
+				res, err := eventsim.MaxThroughput(t, w, s, cfg)
+				if err != nil {
+					return nil, fmt.Errorf("workload %v: %w", w, err)
+				}
+				tps[name] = res.Throughput
+			}
+			base := tps["FCFS"]
+			return Fig6Point{
+				Workload:       w.Key(),
+				TheoreticalMax: opt.Throughput / base,
+				TheoreticalMin: worst.Throughput / base,
+				MAXIT:          tps["MAXIT"] / base,
+				SRPT:           tps["SRPT"] / base,
+				MAXTP:          tps["MAXTP"] / base,
+			}, nil
 		},
 		Reduce: func(cells []any) (*scenario.Result, error) {
 			r := &Fig6Result{Name: t.Name()}
@@ -90,6 +85,8 @@ func fig6Plan(e *Env) (*scenario.Plan, error) {
 				r.Points[i] = c.(Fig6Point)
 			}
 			sort.Slice(r.Points, func(i, j int) bool { return r.Points[i].TheoreticalMax < r.Points[j].TheoreticalMax })
+			tbl := scenario.NewTable("fig6", str("workload"),
+				flt("theoretical_max"), flt("maxtp"), flt("srpt"), flt("maxit"), flt("theoretical_min"))
 			n := float64(len(r.Points))
 			for _, p := range r.Points {
 				r.MeanMAXIT += p.MAXIT / n
@@ -98,10 +95,7 @@ func fig6Plan(e *Env) (*scenario.Plan, error) {
 				r.MeanTheoreticalMax += p.TheoreticalMax / n
 				r.MeanTheoreticalMin += p.TheoreticalMin / n
 				r.MAXTPGapToOptimal += (p.TheoreticalMax - p.MAXTP) / p.TheoreticalMax / n
-			}
-			tbl, err := resultTable("fig6", r)
-			if err != nil {
-				return nil, err
+				tbl.Add(p.Workload, p.TheoreticalMax, p.MAXTP, p.SRPT, p.MAXIT, p.TheoreticalMin)
 			}
 			return &scenario.Result{Value: r, Text: r.Format(), Tables: []*scenario.Table{tbl}}, nil
 		},
@@ -110,15 +104,7 @@ func fig6Plan(e *Env) (*scenario.Plan, error) {
 
 // Fig6 runs the maximum-throughput experiments.
 func Fig6(e *Env) (*Fig6Result, error) {
-	p, err := fig6Plan(e)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.Execute(context.Background(), e.runCfg("fig6"))
-	if err != nil {
-		return nil, err
-	}
-	return res.Value.(*Fig6Result), nil
+	return result[*Fig6Result](context.Background(), e, Fig6Scenario())
 }
 
 // Format renders the series summary and a down-sampled point list.

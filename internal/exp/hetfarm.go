@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -29,7 +28,6 @@ func hetfarmPlan(e *Env) (*scenario.Plan, error) {
 	mixes := []string{"smt", "smt+quad"}
 	dispatchers := farm.DispatcherNames
 	loads := FarmLoads
-	w := farmWorkload(e)
 
 	specs := make([][]farm.ServerSpec, len(mixes))
 	caps := make([]float64, len(mixes))
@@ -41,69 +39,55 @@ func hetfarmPlan(e *Env) (*scenario.Plan, error) {
 		specs[mi], caps[mi] = sp, c
 	}
 
-	return &scenario.Plan{
-		Axes: []scenario.Axis{
-			{Name: "mix", Values: mixes},
-			{Name: "dispatcher", Values: dispatchers},
-			{Name: "load", Values: floatLabels(loads)},
-			{Name: "rep", Values: repLabels(reps)},
-		},
-		Cell: func(_ context.Context, pt scenario.Point) (any, error) {
-			mi := pt.Index("mix")
-			disp := pt.Value("dispatcher")
-			load := loads[pt.Index("load")]
-			// Loads are offered relative to each mix's own capacity, so
-			// the two farms face the same relative pressure. The seed
-			// omits the mix and dispatcher axes: every policy (on either
-			// farm) sees the same arrival and job streams.
-			rep, err := farm.Replicate(specs[mi], disp, w, farm.Config{
-				Lambda:    load * caps[mi],
-				Jobs:      e.Cfg.SimJobs,
-				SizeShape: 4,
-				Seed:      pt.Seed(e.Cfg.Seed, "load"),
-			}, pt.Index("rep"))
-			if err != nil {
-				return nil, fmt.Errorf("hetfarm %s %s load %.2f: %w", pt.Value("mix"), disp, load, err)
-			}
-			return rep, nil
-		},
-		Reduce: func(cells []any) (*scenario.Result, error) {
-			tbl := scenario.NewTable("hetfarm",
-				scenario.StrCol("mix"), scenario.StrCol("dispatcher"), scenario.FloatCol("load"),
-				scenario.FloatCol("mean_turnaround"), scenario.FloatCol("p99_turnaround"),
-				scenario.FloatCol("turnaround_std"), scenario.FloatCol("utilisation"), scenario.FloatCol("throughput"))
-			aggs := foldReps(cells, reps)
-			// lastLoadTurn[mix][disp] is the per-dispatcher mean
-			// turnaround at the highest load; the summary lines below
-			// print the li/jsq ratio from it.
-			lastLoadTurn := map[string]map[string]float64{}
-			ci := 0
-			for _, mix := range mixes {
-				lastLoadTurn[mix] = map[string]float64{}
-				for _, disp := range dispatchers {
-					for li, load := range loads {
-						a := aggs[ci]
-						ci++
-						tbl.Add(mix, disp, load, a.MeanTurnaround, a.P99Turnaround,
-							a.TurnaroundStd, a.Utilisation, a.Throughput)
-						if li == len(loads)-1 {
-							lastLoadTurn[mix][disp] = a.MeanTurnaround
-						}
+	axes := []scenario.Axis{
+		{Name: "mix", Values: mixes},
+		{Name: "dispatcher", Values: dispatchers},
+		{Name: "load", Values: labels(loads, scenario.FormatFloat)},
+	}
+	run := func(pt scenario.Point) farmRun {
+		mi := pt.Index("mix")
+		// Loads are offered relative to each mix's own capacity, so the
+		// two farms face the same relative pressure. The seed omits the
+		// mix and dispatcher axes: every policy (on either farm) sees the
+		// same arrival and job streams.
+		cfg := e.farmConfig(loads[pt.Index("load")]*caps[mi], pt.Seed(e.Cfg.Seed, "load"))
+		return farmRun{specs[mi], pt.Value("dispatcher"), cfg}
+	}
+	return replicated(e, "hetfarm", axes, reps, run, func(aggs []*farm.SweepResult) (*scenario.Result, error) {
+		tbl := scenario.NewTable("hetfarm",
+			str("mix"), str("dispatcher"), flt("load"),
+			flt("mean_turnaround"), flt("p99_turnaround"),
+			flt("turnaround_std"), flt("utilisation"), flt("throughput"))
+		// lastLoadTurn[mix][disp] is the per-dispatcher mean
+		// turnaround at the highest load; the summary lines below
+		// print the li/jsq ratio from it.
+		lastLoadTurn := map[string]map[string]float64{}
+		ci := 0
+		for _, mix := range mixes {
+			lastLoadTurn[mix] = map[string]float64{}
+			for _, disp := range dispatchers {
+				for li, load := range loads {
+					a := aggs[ci]
+					ci++
+					tbl.Add(mix, disp, load, a.MeanTurnaround, a.P99Turnaround,
+						a.TurnaroundStd, a.Utilisation, a.Throughput)
+					if li == len(loads)-1 {
+						lastLoadTurn[mix][disp] = a.MeanTurnaround
 					}
 				}
 			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "Heterogeneous farm (%d servers, FCFS per server, %d replications/cell): %s\n",
-				servers, reps, "uniform SMT vs alternating SMT/quad, loads relative to each mix's capacity")
-			fmt.Fprintf(&b, "  capacity: smt %.3f, smt+quad %.3f\n", caps[0], caps[1])
-			b.WriteString(tbl.Text())
-			for _, mix := range mixes {
-				if li, jsq := lastLoadTurn[mix]["li"], lastLoadTurn[mix]["jsq"]; li > 0 && jsq > 0 {
-					fmt.Fprintf(&b, "  %s: li mean turnaround at load %.2f is %.1f%% of jsq\n",
-						mix, loads[len(loads)-1], 100*li/jsq)
-				}
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "Heterogeneous farm (%d servers, FCFS per server, %d replications/cell): %s\n",
+			servers, reps, "uniform SMT vs alternating SMT/quad, loads relative to each mix's capacity")
+		fmt.Fprintf(&b, "  capacity: smt %.3f, smt+quad %.3f\n", caps[0], caps[1])
+		b.WriteString(tbl.Text())
+		for _, mix := range mixes {
+			if li, jsq := lastLoadTurn[mix]["li"], lastLoadTurn[mix]["jsq"]; li > 0 && jsq > 0 {
+				fmt.Fprintf(&b, "  %s: li mean turnaround at load %.2f is %.1f%% of jsq\n",
+					mix, loads[len(loads)-1], 100*li/jsq)
 			}
-			return &scenario.Result{Value: tbl, Text: b.String(), Tables: []*scenario.Table{tbl}}, nil
-		},
-	}, nil
+		}
+		return &scenario.Result{Value: tbl, Text: b.String(), Tables: []*scenario.Table{tbl}}, nil
+	}), nil
 }

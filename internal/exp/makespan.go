@@ -7,6 +7,7 @@ import (
 
 	"symbiosched/internal/eventsim"
 	"symbiosched/internal/runner"
+	"symbiosched/internal/scenario"
 	"symbiosched/internal/sched"
 	"symbiosched/internal/stats"
 	"symbiosched/internal/workload"
@@ -37,7 +38,7 @@ func MakespanExperiment(e *Env, batch int) (*MakespanResult, error) {
 	if batch <= 0 {
 		batch = 8
 	}
-	t := e.SMTTable()
+	t := e.Table(SMT)
 	ws := e.sampledWorkloads()
 	r := &MakespanResult{
 		Name: t.Name(), Batch: batch, Workloads: len(ws),
@@ -96,7 +97,16 @@ func makespanScheduler(name string, e *Env, w workload.Workload) (sched.Schedule
 	if name == "Random" {
 		return &sched.Random{RNG: stats.NewRNG(e.Cfg.Seed)}, nil
 	}
-	return newScheduler(name, e.SMTTable(), w)
+	return sched.New(name, e.Table(SMT), w)
+}
+
+// table lists each scheduler's normalised makespan and tail idle.
+func (r *MakespanResult) table(name string) *scenario.Table {
+	t := scenario.NewTable(name, str("scheduler"), flt("makespan_vs_fcfs"), flt("tail_idle"))
+	for _, sn := range MakespanSchedulers {
+		t.Add(sn, r.MeanMakespan[sn], r.MeanTailIdle[sn])
+	}
+	return t
 }
 
 // Format renders the comparison.

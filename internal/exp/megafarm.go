@@ -22,7 +22,7 @@ import (
 // every d competes under common random numbers.
 func MegafarmScenario() *scenario.Scenario {
 	return gridScenario("megafarm",
-		"mega-farm: power-of-d dispatch on the sharded engine, servers x d x load",
+		"mega-farm: power-of-d dispatch, servers x d x load",
 		megafarmPlan)
 }
 
@@ -42,20 +42,11 @@ func megafarmPlan(e *Env) (*scenario.Plan, error) {
 		specs[si], caps[si] = sp, c
 	}
 
-	sizeLabels := make([]string, len(sizes))
-	for i, n := range sizes {
-		sizeLabels[i] = strconv.Itoa(n)
-	}
-	dLabels := make([]string, len(ds))
-	for i, d := range ds {
-		dLabels[i] = strconv.Itoa(d)
-	}
-
 	return &scenario.Plan{
 		Axes: []scenario.Axis{
-			{Name: "servers", Values: sizeLabels},
-			{Name: "d", Values: dLabels},
-			{Name: "load", Values: floatLabels(loads)},
+			{Name: "servers", Values: labels(sizes, strconv.Itoa)},
+			{Name: "d", Values: labels(ds, strconv.Itoa)},
+			{Name: "load", Values: labels(loads, scenario.FormatFloat)},
 		},
 		Cell: func(_ context.Context, pt scenario.Point) (any, error) {
 			si := pt.Index("servers")
@@ -65,12 +56,8 @@ func megafarmPlan(e *Env) (*scenario.Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := farm.SimulateSharded(specs[si], disp, w, farm.Config{
-				Lambda:    load * caps[si],
-				Jobs:      e.Cfg.SimJobs,
-				SizeShape: 4,
-				Seed:      pt.Seed(e.Cfg.Seed, "servers", "load"),
-			}, farm.ShardConfig{})
+			cfg := e.farmConfig(load*caps[si], pt.Seed(e.Cfg.Seed, "servers", "load"))
+			res, err := farm.SimulateSharded(specs[si], disp, w, cfg, farm.ShardConfig{})
 			if err != nil {
 				return nil, fmt.Errorf("megafarm n=%d pd%d load %.2f: %w", sizes[si], d, load, err)
 			}
@@ -78,10 +65,10 @@ func megafarmPlan(e *Env) (*scenario.Plan, error) {
 		},
 		Reduce: func(cells []any) (*scenario.Result, error) {
 			tbl := scenario.NewTable("megafarm",
-				scenario.IntCol("servers"), scenario.IntCol("d"), scenario.FloatCol("load"),
-				scenario.FloatCol("mean_turnaround"), scenario.FloatCol("p99_turnaround"),
-				scenario.FloatCol("utilisation"), scenario.FloatCol("throughput"),
-				scenario.FloatCol("mean_jobs_in_system"))
+				intc("servers"), intc("d"), flt("load"),
+				flt("mean_turnaround"), flt("p99_turnaround"),
+				flt("utilisation"), flt("throughput"),
+				flt("mean_jobs_in_system"))
 			// turn[si][d index] is the mean turnaround at the highest load,
 			// for the probe-count payoff lines below.
 			turn := make([][]float64, len(sizes))
@@ -101,7 +88,7 @@ func megafarmPlan(e *Env) (*scenario.Plan, error) {
 				}
 			}
 			var b strings.Builder
-			fmt.Fprintf(&b, "Mega-farm (FCFS servers, sharded engine, pd dispatch, %d jobs/cell)\n", e.Cfg.SimJobs)
+			fmt.Fprintf(&b, "Mega-farm (FCFS servers, pd dispatch, %d jobs/cell)\n", e.Cfg.SimJobs)
 			for si, n := range sizes {
 				fmt.Fprintf(&b, "  capacity n=%d: %.3f\n", n, caps[si])
 			}

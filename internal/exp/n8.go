@@ -26,8 +26,8 @@ type N8Result struct {
 // LPs have C(11,4) = 330 variables each; the FCFS reference uses the
 // Markov approximation to keep the sweep fast.
 func N8(e *Env) (*N8Result, error) {
-	t := e.SMTTable()
-	sweep4, err := e.SMTSweep()
+	t := e.Table(SMT)
+	sweep4, err := e.Sweep(SMT)
 	if err != nil {
 		return nil, err
 	}

@@ -11,41 +11,23 @@ import (
 	"symbiosched/internal/perfdb"
 	"symbiosched/internal/scenario"
 	"symbiosched/internal/sched"
+	"symbiosched/internal/workload"
 )
 
 // OnlineLoads are the default offered loads of the knowledge-gap
 // experiment, relative to each workload's FCFS maximum throughput.
 var OnlineLoads = []float64{0.5, 0.8, 0.9}
 
+// onlineSched is the scheduler run over every estimator: MAXIT, the
+// paper's throughput-greedy policy and the one whose quality depends
+// entirely on the rate knowledge.
+const onlineSched = "MAXIT"
+
 // OnlineOptions parameterises the knowledge-gap experiment grid.
 type OnlineOptions struct {
-	// Estimators defaults to every built-in estimator (online.Names).
-	Estimators []string
-	// Loads defaults to OnlineLoads.
-	Loads []float64
 	// Workloads caps the number of sampled N=4 workloads per machine
 	// (default 8); each grid cell averages over them.
 	Workloads int
-	// Sched is the scheduler run over each estimator (default "MAXIT",
-	// the paper's throughput-greedy policy and the one whose quality
-	// depends entirely on the rate knowledge).
-	Sched string
-}
-
-func (o OnlineOptions) withDefaults() OnlineOptions {
-	if len(o.Estimators) == 0 {
-		o.Estimators = online.Names
-	}
-	if len(o.Loads) == 0 {
-		o.Loads = OnlineLoads
-	}
-	if o.Workloads <= 0 {
-		o.Workloads = 8
-	}
-	if o.Sched == "" {
-		o.Sched = "MAXIT"
-	}
-	return o
 }
 
 // OnlineCell is one (machine, estimator, load) aggregate.
@@ -67,10 +49,9 @@ type OnlineCell struct {
 // must discover co-run rates at run time come to the paper's
 // perfect-knowledge oracle, as load grows.
 type OnlineResult struct {
-	Sched     string
 	Workloads int
-	// Cells are ordered machine-major (smt then quad), then estimator,
-	// then load.
+	// Cells are ordered machine-major (smt then quad), then estimator
+	// (online.Names), then load (OnlineLoads).
 	Cells []OnlineCell
 }
 
@@ -84,95 +65,72 @@ type onlineAcc struct{ turn, tp, turnRel, tpRel float64 }
 // the reduction folds cells in enumeration order, so the grid — and the
 // golden CSV — is byte-identical at any parallelism level.
 func onlinePlan(e *Env, opt OnlineOptions) (*scenario.Plan, error) {
-	opt = opt.withDefaults()
-	type machine struct {
-		name string
-		t    *perfdb.Table
+	if opt.Workloads <= 0 {
+		opt.Workloads = 8
 	}
-	machines := []machine{{"smt", e.SMTTable()}, {"quad", e.QuadTable()}}
+	ws := thin(e.sampledWorkloads(), opt.Workloads)
+	tables := []*perfdb.Table{e.Table(SMT), e.Table(Quad)}
 
-	ws := e.sampledWorkloads()
-	if len(ws) > opt.Workloads {
-		step := len(ws) / opt.Workloads
-		thinned := ws[:0:0]
-		for i := 0; i < len(ws) && len(thinned) < opt.Workloads; i += step {
-			thinned = append(thinned, ws[i])
-		}
-		ws = thinned
-	}
-
-	// One (machine, workload) item's contribution: [estimator][load]. The
-	// linear index idx = mi*len(ws)+wi matches the engine's row-major
-	// enumeration of the (machine, workload) axes, so the legacy
-	// idx-derived seeds are unchanged.
-	perItem := func(idx int) ([][]onlineAcc, error) {
-		mi, wi := idx/len(ws), idx%len(ws)
-		m, w := machines[mi], ws[wi]
-		base := core.FCFS(m.t, w, core.FCFSConfig{Jobs: e.Cfg.FCFSJobs, Seed: e.Cfg.Seed}).Throughput
-		if base <= 0 {
-			return nil, fmt.Errorf("online: workload %v has no FCFS throughput", w)
-		}
-		local := make([][]onlineAcc, len(opt.Estimators))
-		for i := range local {
-			local[i] = make([]onlineAcc, len(opt.Loads))
-		}
-		for li, load := range opt.Loads {
-			runOne := func(name string) (*eventsim.Result, error) {
-				est, err := online.New(name, m.t, e.Cfg.Seed+uint64(idx)*0x9e3779b97f4a7c15+uint64(li))
-				if err != nil {
-					return nil, err
-				}
-				s, err := sched.New(opt.Sched, est, w)
-				if err != nil {
-					return nil, err
-				}
-				// Identical arrival/job streams for every estimator
-				// (common random numbers): the seed depends only on the
-				// grid position, never on the estimator.
-				return eventsim.LatencyObserved(m.t, w, s, est, eventsim.LatencyConfig{
-					Lambda:    load * base,
-					Jobs:      e.Cfg.SimJobs,
-					SizeShape: 4,
-					Seed:      e.Cfg.Seed + uint64(idx)*31 + uint64(li),
-				})
-			}
-			oracle, err := runOne("oracle")
-			if err != nil {
-				return nil, fmt.Errorf("online %s %v load %.2f oracle: %w", m.name, w, load, err)
-			}
-			for ei, name := range opt.Estimators {
-				res := oracle
-				if name != "oracle" {
-					if res, err = runOne(name); err != nil {
-						return nil, fmt.Errorf("online %s %v load %.2f %s: %w", m.name, w, load, name, err)
-					}
-				}
-				a := onlineAcc{turn: res.MeanTurnaround, tp: res.Throughput, turnRel: 1, tpRel: 1}
-				if oracle.MeanTurnaround > 0 {
-					a.turnRel = res.MeanTurnaround / oracle.MeanTurnaround
-				}
-				if oracle.Throughput > 0 {
-					a.tpRel = res.Throughput / oracle.Throughput
-				}
-				local[ei][li] = a
-			}
-		}
-		return local, nil
-	}
-
-	machineNames := make([]string, len(machines))
-	for i, m := range machines {
-		machineNames[i] = m.name
-	}
 	return &scenario.Plan{
 		Axes: []scenario.Axis{
-			{Name: "machine", Values: machineNames},
-			{Name: "workload", Values: workloadLabels(ws)},
+			{Name: "machine", Values: []string{SMT.String(), Quad.String()}},
+			{Name: "workload", Values: labels(ws, workload.Workload.Key)},
 		},
+		// One (machine, workload) item's contribution: [estimator][load].
+		// The linear index idx = mi*len(ws)+wi is the engine's row-major
+		// enumeration of the grid, from which the seeds derive.
 		Cell: func(_ context.Context, pt scenario.Point) (any, error) {
-			local, err := perItem(pt.Index("machine")*len(ws) + pt.Index("workload"))
-			if err != nil {
-				return nil, err
+			mi, wi := pt.Index("machine"), pt.Index("workload")
+			idx := mi*len(ws) + wi
+			t, w := tables[mi], ws[wi]
+			base := core.FCFS(t, w, core.FCFSConfig{Jobs: e.Cfg.FCFSJobs, Seed: e.Cfg.Seed}).Throughput
+			if base <= 0 {
+				return nil, fmt.Errorf("online: workload %v has no FCFS throughput", w)
+			}
+			local := make([][]onlineAcc, len(online.Names))
+			for i := range local {
+				local[i] = make([]onlineAcc, len(OnlineLoads))
+			}
+			for li, load := range OnlineLoads {
+				runOne := func(name string) (*eventsim.Result, error) {
+					est, err := online.New(name, t, e.Cfg.Seed+uint64(idx)*0x9e3779b97f4a7c15+uint64(li))
+					if err != nil {
+						return nil, err
+					}
+					s, err := sched.New(onlineSched, est, w)
+					if err != nil {
+						return nil, err
+					}
+					// Identical arrival/job streams for every estimator
+					// (common random numbers): the seed depends only on
+					// the grid position, never on the estimator.
+					return eventsim.LatencyObserved(t, w, s, est, eventsim.LatencyConfig{
+						Lambda:    load * base,
+						Jobs:      e.Cfg.SimJobs,
+						SizeShape: 4,
+						Seed:      e.Cfg.Seed + uint64(idx)*31 + uint64(li),
+					})
+				}
+				oracle, err := runOne("oracle")
+				if err != nil {
+					return nil, fmt.Errorf("online %s %v load %.2f oracle: %w", machines[mi], w, load, err)
+				}
+				for ei, name := range online.Names {
+					res := oracle
+					if name != "oracle" {
+						if res, err = runOne(name); err != nil {
+							return nil, fmt.Errorf("online %s %v load %.2f %s: %w", machines[mi], w, load, name, err)
+						}
+					}
+					a := onlineAcc{turn: res.MeanTurnaround, tp: res.Throughput, turnRel: 1, tpRel: 1}
+					if oracle.MeanTurnaround > 0 {
+						a.turnRel = res.MeanTurnaround / oracle.MeanTurnaround
+					}
+					if oracle.Throughput > 0 {
+						a.tpRel = res.Throughput / oracle.Throughput
+					}
+					local[ei][li] = a
+				}
 			}
 			return local, nil
 		},
@@ -180,9 +138,9 @@ func onlinePlan(e *Env, opt OnlineOptions) (*scenario.Plan, error) {
 			// accs[machine][estimator][load], folded in item order.
 			accs := make([][][]onlineAcc, len(machines))
 			for mi := range accs {
-				accs[mi] = make([][]onlineAcc, len(opt.Estimators))
+				accs[mi] = make([][]onlineAcc, len(online.Names))
 				for ei := range accs[mi] {
-					accs[mi][ei] = make([]onlineAcc, len(opt.Loads))
+					accs[mi][ei] = make([]onlineAcc, len(OnlineLoads))
 				}
 			}
 			for idx, c := range cells {
@@ -197,27 +155,28 @@ func onlinePlan(e *Env, opt OnlineOptions) (*scenario.Plan, error) {
 					}
 				}
 			}
-			r := &OnlineResult{Sched: opt.Sched, Workloads: len(ws)}
+			r := &OnlineResult{Workloads: len(ws)}
+			tbl := scenario.NewTable("online", str("machine"), str("estimator"), flt("load"),
+				flt("turnaround"), flt("throughput"), flt("turnaround_vs_oracle"), flt("throughput_vs_oracle"))
 			n := float64(len(ws))
 			for mi, m := range machines {
-				for ei, name := range opt.Estimators {
-					for li, load := range opt.Loads {
+				for ei, name := range online.Names {
+					for li, load := range OnlineLoads {
 						a := accs[mi][ei][li]
-						r.Cells = append(r.Cells, OnlineCell{
-							Machine:            m.name,
+						c := OnlineCell{
+							Machine:            m.String(),
 							Estimator:          name,
 							Load:               load,
 							Turnaround:         a.turn / n,
 							Throughput:         a.tp / n,
 							TurnaroundVsOracle: a.turnRel / n,
 							ThroughputVsOracle: a.tpRel / n,
-						})
+						}
+						r.Cells = append(r.Cells, c)
+						tbl.Add(c.Machine, c.Estimator, c.Load, c.Turnaround, c.Throughput,
+							c.TurnaroundVsOracle, c.ThroughputVsOracle)
 					}
 				}
-			}
-			tbl, err := resultTable("online", r)
-			if err != nil {
-				return nil, err
 			}
 			return &scenario.Result{Value: r, Text: r.Format(), Tables: []*scenario.Table{tbl}}, nil
 		},
@@ -225,45 +184,12 @@ func onlinePlan(e *Env, opt OnlineOptions) (*scenario.Plan, error) {
 }
 
 // Online runs the knowledge-gap experiment on the SMT and quad-core
-// machines: for every sampled workload and load, the chosen scheduler is
-// run once per estimator — oracle knowledge, SOS-style sampling, and the
-// pairwise interference model — under identical Poisson arrivals, and
+// machines: for every sampled workload and load, MAXIT is run once per
+// estimator — oracle knowledge, SOS-style sampling, and the pairwise
+// interference model — under identical Poisson arrivals, and
 // turnaround/throughput are reported relative to the oracle run.
 func Online(e *Env, opt OnlineOptions) (*OnlineResult, error) {
-	p, err := onlinePlan(e, opt)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.Execute(context.Background(), e.runCfg("online"))
-	if err != nil {
-		return nil, err
-	}
-	return res.Value.(*OnlineResult), nil
-}
-
-// Cell returns the aggregate for a machine, estimator and load.
-func (r *OnlineResult) Cell(machine, estimator string, load float64) (OnlineCell, bool) {
-	for _, c := range r.Cells {
-		if c.Machine == machine && c.Estimator == estimator && c.Load == load {
-			return c, true
-		}
-	}
-	return OnlineCell{}, false
-}
-
-// machines returns the distinct machines in first-seen order.
-func (r *OnlineResult) machines() []string {
-	return scenario.Distinct(r.Cells, func(c OnlineCell) string { return c.Machine })
-}
-
-// estimators returns the distinct estimators in first-seen order.
-func (r *OnlineResult) estimators() []string {
-	return scenario.Distinct(r.Cells, func(c OnlineCell) string { return c.Estimator })
-}
-
-// loads returns the distinct loads in first-seen order.
-func (r *OnlineResult) loads() []float64 {
-	return scenario.Distinct(r.Cells, func(c OnlineCell) float64 { return c.Load })
+	return result[*OnlineResult](context.Background(), e, OnlineScenario(opt))
 }
 
 // Format renders the knowledge-gap grids: per machine, turnaround and
@@ -271,28 +197,14 @@ func (r *OnlineResult) loads() []float64 {
 func (r *OnlineResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Knowledge gap (%s over learned rates, %d workloads): online estimators vs the oracle table\n",
-		r.Sched, r.Workloads)
-	loads := r.loads()
-	for _, m := range r.machines() {
+		onlineSched, r.Workloads)
+	n := len(online.Names) * len(OnlineLoads)
+	for mi, m := range machines {
 		fmt.Fprintf(&b, "  %s machine\n", m)
-		panel := func(title string, get func(OnlineCell) float64) {
-			fmt.Fprintf(&b, "    %s\n            ", title)
-			for _, l := range loads {
-				fmt.Fprintf(&b, "  load=%.2f", l)
-			}
-			fmt.Fprintln(&b)
-			for _, est := range r.estimators() {
-				fmt.Fprintf(&b, "    %-8s", est)
-				for _, l := range loads {
-					c, _ := r.Cell(m, est, l)
-					fmt.Fprintf(&b, "  %9.3f", get(c))
-				}
-				fmt.Fprintln(&b)
-			}
-		}
-		panel("turnaround vs oracle (1 = perfect knowledge; lower is better)",
+		g := loadGrid[OnlineCell]{b: &b, indent: "    ", width: 8, labels: online.Names, loads: OnlineLoads, cells: r.Cells[mi*n : (mi+1)*n]}
+		g.panel("turnaround vs oracle (1 = perfect knowledge; lower is better)", "  %9.3f",
 			func(c OnlineCell) float64 { return c.TurnaroundVsOracle })
-		panel("throughput vs oracle (1 = perfect knowledge; higher is better)",
+		g.panel("throughput vs oracle (1 = perfect knowledge; higher is better)", "  %9.3f",
 			func(c OnlineCell) float64 { return c.ThroughputVsOracle })
 	}
 	return b.String()

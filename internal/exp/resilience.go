@@ -45,7 +45,7 @@ func resiliencePlan(e *Env) (*scenario.Plan, error) {
 
 	return &scenario.Plan{
 		Axes: []scenario.Axis{
-			{Name: "mtbf", Values: floatLabels(mtbfs)},
+			{Name: "mtbf", Values: labels(mtbfs, scenario.FormatFloat)},
 			{Name: "dispatcher", Values: dispatchers},
 			{Name: "checkpoint", Values: checkpoints},
 		},
@@ -57,19 +57,15 @@ func resiliencePlan(e *Env) (*scenario.Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := farm.SimulateSharded(specs, d, w, farm.Config{
-				Lambda:    load * capacity,
-				Jobs:      e.Cfg.SimJobs,
-				SizeShape: 4,
-				Seed:      pt.Seed(e.Cfg.Seed, "mtbf"),
-				Faults: fault.Config{
-					MTBF:       mtbf,
-					MTTR:       mttr,
-					MaxRetries: maxRetries,
-					RetryDelay: retryDelay,
-					Checkpoint: cp,
-				},
-			}, farm.ShardConfig{})
+			cfg := e.farmConfig(load*capacity, pt.Seed(e.Cfg.Seed, "mtbf"))
+			cfg.Faults = fault.Config{
+				MTBF:       mtbf,
+				MTTR:       mttr,
+				MaxRetries: maxRetries,
+				RetryDelay: retryDelay,
+				Checkpoint: cp,
+			}
+			res, err := farm.SimulateSharded(specs, d, w, cfg, farm.ShardConfig{})
 			if err != nil {
 				return nil, fmt.Errorf("resilience mtbf=%g %s/%s: %w", mtbf, disp, cp, err)
 			}
@@ -77,11 +73,11 @@ func resiliencePlan(e *Env) (*scenario.Plan, error) {
 		},
 		Reduce: func(cells []any) (*scenario.Result, error) {
 			tbl := scenario.NewTable("resilience",
-				scenario.FloatCol("mtbf"), scenario.StrCol("dispatcher"), scenario.StrCol("checkpoint"),
-				scenario.FloatCol("availability"), scenario.FloatCol("goodput"), scenario.FloatCol("wasted_work"),
-				scenario.IntCol("redispatches"), scenario.IntCol("dropped"), scenario.IntCol("parked"),
-				scenario.FloatCol("mean_turnaround"), scenario.FloatCol("p99_turnaround"),
-				scenario.FloatCol("retry_p50"), scenario.FloatCol("retry_p99"))
+				flt("mtbf"), str("dispatcher"), str("checkpoint"),
+				flt("availability"), flt("goodput"), flt("wasted_work"),
+				intc("redispatches"), intc("dropped"), intc("parked"),
+				flt("mean_turnaround"), flt("p99_turnaround"),
+				flt("retry_p50"), flt("retry_p99"))
 			// wasted/turn[mtbf index][checkpoint index] under li, for the
 			// checkpoint-policy payoff lines below.
 			wasted := make([][]float64, len(mtbfs))
@@ -114,7 +110,7 @@ func resiliencePlan(e *Env) (*scenario.Plan, error) {
 				}
 			}
 			var b strings.Builder
-			fmt.Fprintf(&b, "Resilience (8 x smt/FCFS, sharded engine, load %.2f, MTTR %g, %d retries, backoff %g, %d jobs/cell)\n",
+			fmt.Fprintf(&b, "Resilience (8 x smt/FCFS, load %.2f, MTTR %g, %d retries, backoff %g, %d jobs/cell)\n",
 				load, mttr, maxRetries, retryDelay, e.Cfg.SimJobs)
 			fmt.Fprintf(&b, "  capacity: %.3f\n", capacity)
 			b.WriteString(tbl.Text())

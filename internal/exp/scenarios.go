@@ -7,6 +7,13 @@ import (
 	"symbiosched/internal/scenario"
 )
 
+// Column constructors for the drivers' table declarations.
+var (
+	str  = scenario.StrCol
+	flt  = scenario.FloatCol
+	intc = scenario.IntCol
+)
+
 // planner adapts an Env-typed plan builder to the engine's opaque-Env
 // signature with one cast at the boundary.
 func planner(build func(e *Env) (*scenario.Plan, error)) func(context.Context, scenario.Env) (*scenario.Plan, error) {
@@ -22,8 +29,7 @@ func planner(build func(e *Env) (*scenario.Plan, error)) func(context.Context, s
 // simple wraps a driver without a swept grid as a one-cell scenario: the
 // driver's own fan-outs (suite sweeps, perfdb builds) already run through
 // the Env's runner configuration, so the engine contributes the uniform
-// Result, registry dispatch and CSV path. tables lists the driver's CSV
-// outputs (nil for text-only studies).
+// Result, registry dispatch and CSV path.
 func simple(name, desc string, run func(e *Env) (*scenario.Result, error)) *scenario.Scenario {
 	return &scenario.Scenario{
 		Name: name,
@@ -41,13 +47,37 @@ func simple(name, desc string, run func(e *Env) (*scenario.Result, error)) *scen
 	}
 }
 
-// tabled builds a one-table Result from a typed driver result.
-func tabled(value any, text, tableName string) (*scenario.Result, error) {
-	tbl, err := resultTable(tableName, value)
-	if err != nil {
-		return nil, err
-	}
-	return &scenario.Result{Value: value, Text: text, Tables: []*scenario.Table{tbl}}, nil
+// report is a driver result that renders its own text.
+type report interface{ Format() string }
+
+// single wraps a one-result driver as a one-cell scenario; table, when
+// non-nil, builds the result's CSV table under the scenario's name.
+func single[R report](name, desc string, run func(e *Env) (R, error), table func(R, string) *scenario.Table) *scenario.Scenario {
+	return simple(name, desc, func(e *Env) (*scenario.Result, error) {
+		r, err := run(e)
+		if err != nil {
+			return nil, err
+		}
+		res := &scenario.Result{Value: r, Text: r.Format()}
+		if table != nil {
+			res.Tables = []*scenario.Table{table(r, name)}
+		}
+		return res, nil
+	})
+}
+
+// paired wraps a driver reporting both configurations as a one-cell
+// scenario: the SMT text then the quad text, and one table each, named
+// <name>_smt and <name>_quad.
+func paired[R report](name, desc string, run func(e *Env) (R, R, error), table func(R, string) *scenario.Table) *scenario.Scenario {
+	return simple(name, desc, func(e *Env) (*scenario.Result, error) {
+		smt, quad, err := run(e)
+		if err != nil {
+			return nil, err
+		}
+		return &scenario.Result{Value: []R{smt, quad}, Text: smt.Format() + quad.Format(),
+			Tables: []*scenario.Table{table(smt, name+"_smt"), table(quad, name+"_quad")}}, nil
+	})
 }
 
 // gridScenario wraps an Env-typed plan builder (whose Reduce already
@@ -56,12 +86,23 @@ func gridScenario(name, desc string, build func(e *Env) (*scenario.Plan, error))
 	return &scenario.Scenario{Name: name, Desc: desc, Plan: planner(build)}
 }
 
+// labels renders an axis' values as its canonical labels. Float axes use
+// scenario.FormatFloat and workload axes Workload.Key, so grid labels,
+// CSV cells and seeds agree.
+func labels[T any](vals []T, label func(T) string) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = label(v)
+	}
+	return out
+}
+
 // FarmScenario is the server-farm grid under configurable options; the
 // registered "farm" scenario uses the defaults, tests pin tiny variants.
 func FarmScenario(opt FarmOptions) *scenario.Scenario {
 	return gridScenario("farm",
 		"server farm: dispatcher x load grid, mean/P95 turnaround and utilisation",
-		func(e *Env) (*scenario.Plan, error) { return farmPlan(e, opt, "farm") })
+		func(e *Env) (*scenario.Plan, error) { return farmPlan(e, opt) })
 }
 
 // OnlineScenario is the knowledge-gap grid under configurable options.
@@ -92,120 +133,46 @@ func RunScenario(ctx context.Context, e *Env, name string) (*scenario.Result, er
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown scenario %q", name)
 	}
-	return s.Run(ctx, e, e.runCfg(name))
+	return e.Run(ctx, s)
 }
 
 // init registers every study — the paper's tables and figures first, then
-// the extensions — so cmd/symbiosim, the golden CSV tests and any other
+// the extensions — so cmd/symbiosim, the golden tests and any other
 // consumer dispatch off one list.
 func init() {
 	scenario.Register(simple("table1",
 		"Table I: the selected benchmarks and their characteristics",
 		func(e *Env) (*scenario.Result, error) {
 			rows := Table1(e)
-			return tabled(rows, FormatTable1(rows), "table1")
+			return &scenario.Result{Value: rows, Text: FormatTable1(rows),
+				Tables: []*scenario.Table{table1Table(rows)}}, nil
 		}))
-	scenario.Register(simple("fig1",
+	scenario.Register(single("fig1",
 		"Figure 1: variability of job IPC, instantaneous and average throughput",
-		func(e *Env) (*scenario.Result, error) {
-			r, err := Fig1(e)
-			if err != nil {
-				return nil, err
-			}
-			return tabled(r, r.Format(), "fig1")
-		}))
-	scenario.Register(simple("fig2",
+		Fig1, (*Fig1Result).table))
+	scenario.Register(paired("fig2",
 		"Figure 2: FCFS vs optimal scheduling, one point per workload",
-		func(e *Env) (*scenario.Result, error) {
-			smt, quad, err := Fig2(e)
-			if err != nil {
-				return nil, err
-			}
-			ts, err := resultTable("fig2_smt", smt)
-			if err != nil {
-				return nil, err
-			}
-			tq, err := resultTable("fig2_quad", quad)
-			if err != nil {
-				return nil, err
-			}
-			return &scenario.Result{Value: []*Fig2Result{smt, quad},
-				Text: smt.Format() + quad.Format(), Tables: []*scenario.Table{ts, tq}}, nil
-		}))
-	scenario.Register(simple("fig3",
+		Fig2, (*Fig2Result).table))
+	scenario.Register(paired("fig3",
 		"Figure 3: throughput spread vs the linear-bottleneck model error",
-		func(e *Env) (*scenario.Result, error) {
-			smt, quad, err := Fig3(e)
-			if err != nil {
-				return nil, err
-			}
-			ts, err := resultTable("fig3_smt", smt)
-			if err != nil {
-				return nil, err
-			}
-			tq, err := resultTable("fig3_quad", quad)
-			if err != nil {
-				return nil, err
-			}
-			return &scenario.Result{Value: []*Fig3Result{smt, quad},
-				Text: smt.Format() + quad.Format(), Tables: []*scenario.Table{ts, tq}}, nil
-		}))
-	scenario.Register(simple("table2",
+		Fig3, (*Fig3Result).table))
+	scenario.Register(paired("table2",
 		"Table II: throughput and scheduler time fractions by heterogeneity",
-		func(e *Env) (*scenario.Result, error) {
-			smt, quad, err := Table2(e)
-			if err != nil {
-				return nil, err
-			}
-			ts, err := resultTable("table2_smt", smt)
-			if err != nil {
-				return nil, err
-			}
-			tq, err := resultTable("table2_quad", quad)
-			if err != nil {
-				return nil, err
-			}
-			return &scenario.Result{Value: []*Table2Result{smt, quad},
-				Text: smt.Format() + quad.Format(), Tables: []*scenario.Table{ts, tq}}, nil
-		}))
-	scenario.Register(simple("n8",
+		Table2, (*Table2Result).table))
+	scenario.Register(single("n8",
 		"Section V-B: optimal-scheduler gains with eight job types",
-		func(e *Env) (*scenario.Result, error) {
-			r, err := N8(e)
-			if err != nil {
-				return nil, err
-			}
-			return &scenario.Result{Value: r, Text: r.Format()}, nil
-		}))
-	scenario.Register(simple("fairness",
+		N8, nil))
+	scenario.Register(single("fairness",
 		"Section V-D: the fairness counterfactual (equalised co-run rates)",
-		func(e *Env) (*scenario.Result, error) {
-			r, err := Fairness(e)
-			if err != nil {
-				return nil, err
-			}
-			return &scenario.Result{Value: r, Text: r.Format()}, nil
-		}))
-	scenario.Register(simple("fig4",
+		Fairness, nil))
+	scenario.Register(single("fig4",
 		"Figure 4: analytic M/M/4 turnaround-vs-arrival-rate curves",
-		func(e *Env) (*scenario.Result, error) {
-			r, err := Fig4(e)
-			if err != nil {
-				return nil, err
-			}
-			return tabled(r, r.Format(), "fig4")
-		}))
+		Fig4, (*Fig4Result).table))
 	scenario.Register(Fig5Scenario())
 	scenario.Register(Fig6Scenario())
-	scenario.Register(simple("uarch",
+	scenario.Register(single("uarch",
 		"Section VII: SMT fetch/ROB policy study under optimal throughput",
-		func(e *Env) (*scenario.Result, error) {
-			r, err := Uarch(e)
-			if err != nil {
-				return nil, err
-			}
-			return &scenario.Result{Value: r, Text: r.Format()}, nil
-		}))
+		Uarch, nil))
 	scenario.Register(simple("makespan",
 		"makespan extension: small-batch scheduling a la Settle/Xu",
 		func(e *Env) (*scenario.Result, error) {
@@ -217,12 +184,8 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			tbl, err := resultTable("makespan8", small)
-			if err != nil {
-				return nil, err
-			}
-			return &scenario.Result{Value: small,
-				Text: small.Format() + large.Format(), Tables: []*scenario.Table{tbl}}, nil
+			return &scenario.Result{Value: small, Text: small.Format() + large.Format(),
+				Tables: []*scenario.Table{small.table("makespan8")}}, nil
 		}))
 	scenario.Register(FarmScenario(FarmOptions{}))
 	scenario.Register(OnlineScenario(OnlineOptions{}))

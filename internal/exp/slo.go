@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -35,72 +34,57 @@ func sloPlan(e *Env) (*scenario.Plan, error) {
 	const servers = 4
 	const reps = 3
 	dispatchers := []string{"jsq", "li"}
-	w := farmWorkload(e)
 	specs, capacity, err := fcfsFarm(e, servers, false)
 	if err != nil {
 		return nil, err
 	}
 
-	return &scenario.Plan{
-		Axes: []scenario.Axis{
-			{Name: "dispatcher", Values: dispatchers},
-			{Name: "load", Values: floatLabels(sloLoads)},
-			{Name: "rep", Values: repLabels(reps)},
-		},
-		Cell: func(_ context.Context, pt scenario.Point) (any, error) {
-			disp := pt.Value("dispatcher")
-			load := sloLoads[pt.Index("load")]
-			rep, err := farm.Replicate(specs, disp, w, farm.Config{
-				Lambda:    load * capacity,
-				Jobs:      e.Cfg.SimJobs,
-				SizeShape: 4,
-				SLO:       sloTarget,
-				Seed:      pt.Seed(e.Cfg.Seed, "load"),
-			}, pt.Index("rep"))
-			if err != nil {
-				return nil, fmt.Errorf("slo %s load %.2f: %w", disp, load, err)
-			}
-			return rep, nil
-		},
-		Reduce: func(cells []any) (*scenario.Result, error) {
-			tbl := scenario.NewTable("slo",
-				scenario.StrCol("dispatcher"), scenario.FloatCol("load"),
-				scenario.FloatCol("mean_turnaround"), scenario.FloatCol("p50_turnaround"),
-				scenario.FloatCol("p95_turnaround"), scenario.FloatCol("p99_turnaround"),
-				scenario.FloatCol("slo_attainment"))
-			aggs := foldReps(cells, reps)
-			// attainedTo[disp] is the highest load of the unbroken
-			// ascending prefix holding attainment at or above 95% — a dip
-			// at a lower load ends the held range even if a later load
-			// recovers.
-			attainedTo := map[string]float64{}
-			ci := 0
-			for _, disp := range dispatchers {
-				holding := true
-				for _, load := range sloLoads {
-					a := aggs[ci]
-					ci++
-					tbl.Add(disp, load, a.MeanTurnaround, a.P50Turnaround,
-						a.P95Turnaround, a.P99Turnaround, a.SLOAttainment)
-					if holding && a.SLOAttainment >= 0.95 {
-						attainedTo[disp] = load
-					} else {
-						holding = false
-					}
-				}
-			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "Tail-latency SLO (%d SMT servers, FCFS per server, objective: turnaround <= %g, %d replications/cell)\n",
-				servers, sloTarget, reps)
-			b.WriteString(tbl.Text())
-			for _, disp := range dispatchers {
-				if l, ok := attainedTo[disp]; ok {
-					fmt.Fprintf(&b, "  %s: holds 95%% attainment up to load %.2f\n", disp, l)
+	axes := []scenario.Axis{
+		{Name: "dispatcher", Values: dispatchers},
+		{Name: "load", Values: labels(sloLoads, scenario.FormatFloat)},
+	}
+	run := func(pt scenario.Point) farmRun {
+		cfg := e.farmConfig(sloLoads[pt.Index("load")]*capacity, pt.Seed(e.Cfg.Seed, "load"))
+		cfg.SLO = sloTarget
+		return farmRun{specs, pt.Value("dispatcher"), cfg}
+	}
+	return replicated(e, "slo", axes, reps, run, func(aggs []*farm.SweepResult) (*scenario.Result, error) {
+		tbl := scenario.NewTable("slo",
+			str("dispatcher"), flt("load"),
+			flt("mean_turnaround"), flt("p50_turnaround"),
+			flt("p95_turnaround"), flt("p99_turnaround"),
+			flt("slo_attainment"))
+		// attainedTo[disp] is the highest load of the unbroken
+		// ascending prefix holding attainment at or above 95% — a dip
+		// at a lower load ends the held range even if a later load
+		// recovers.
+		attainedTo := map[string]float64{}
+		ci := 0
+		for _, disp := range dispatchers {
+			holding := true
+			for _, load := range sloLoads {
+				a := aggs[ci]
+				ci++
+				tbl.Add(disp, load, a.MeanTurnaround, a.P50Turnaround,
+					a.P95Turnaround, a.P99Turnaround, a.SLOAttainment)
+				if holding && a.SLOAttainment >= 0.95 {
+					attainedTo[disp] = load
 				} else {
-					fmt.Fprintf(&b, "  %s: never reaches 95%% attainment on this grid\n", disp)
+					holding = false
 				}
 			}
-			return &scenario.Result{Value: tbl, Text: b.String(), Tables: []*scenario.Table{tbl}}, nil
-		},
-	}, nil
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "Tail-latency SLO (%d SMT servers, FCFS per server, objective: turnaround <= %g, %d replications/cell)\n",
+			servers, sloTarget, reps)
+		b.WriteString(tbl.Text())
+		for _, disp := range dispatchers {
+			if l, ok := attainedTo[disp]; ok {
+				fmt.Fprintf(&b, "  %s: holds 95%% attainment up to load %.2f\n", disp, l)
+			} else {
+				fmt.Fprintf(&b, "  %s: never reaches 95%% attainment on this grid\n", disp)
+			}
+		}
+		return &scenario.Result{Value: tbl, Text: b.String(), Tables: []*scenario.Table{tbl}}, nil
+	}), nil
 }

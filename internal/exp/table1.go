@@ -3,6 +3,9 @@ package exp
 import (
 	"fmt"
 	"strings"
+
+	"symbiosched/internal/scenario"
+	"symbiosched/internal/uarch"
 )
 
 // Table1Row characterises one benchmark of Table I on both machines.
@@ -19,10 +22,10 @@ type Table1Row struct {
 // the paper's Table I plus the interference-coverage data the selection
 // was based on.
 func Table1(e *Env) []Table1Row {
-	smt := e.SMTTable()
-	quad := e.QuadTable()
+	smt := e.Table(SMT)
+	quad := e.Table(Quad)
 	suite := e.Cfg.Suite
-	full := float64(e.Cfg.SMT.SharedCacheKB)
+	full := float64(uarch.DefaultSMT().SharedCacheKB)
 	rows := make([]Table1Row, len(suite))
 	for i := range suite {
 		p := &suite[i]
@@ -36,6 +39,16 @@ func Table1(e *Env) []Table1Row {
 		}
 	}
 	return rows
+}
+
+// table1Table lists the benchmarks as the "table1" table.
+func table1Table(rows []Table1Row) *scenario.Table {
+	t := scenario.NewTable("table1", str("benchmark"),
+		flt("solo_ipc_smt"), flt("solo_ipc_quad"), flt("branch_mpki"), flt("mem_mpki_solo"), flt("cache_sensitivity"))
+	for _, row := range rows {
+		t.Add(row.ID, row.SoloIPCSMT, row.SoloIPCQuad, row.BranchMPKI, row.MemMPKISolo, row.CacheSensitivity)
+	}
+	return t
 }
 
 // FormatTable1 renders the benchmark table.

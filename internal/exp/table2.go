@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"symbiosched/internal/core"
+	"symbiosched/internal/scenario"
 )
 
 // Table2Result reproduces Table II: instantaneous throughput and scheduler
@@ -20,26 +21,24 @@ type Table2Result struct {
 
 // Table2 computes the heterogeneity tables for both configurations.
 func Table2(e *Env) (smt, quad *Table2Result, err error) {
-	ssweep, err := e.SMTSweep()
-	if err != nil {
-		return nil, nil, err
+	theo := core.TheoreticalFCFSHeteroFractions(4, e.Table(SMT).K())
+	return perMachine(e, func(m Machine, sa *core.SuiteAnalysis) *Table2Result {
+		return &Table2Result{
+			Name:            e.Table(m).Name(),
+			Rows:            core.HeterogeneityTable(e.Table(m), sa.Workloads),
+			TheoreticalFCFS: theo,
+		}
+	})
+}
+
+// table lists the heterogeneity classes.
+func (r *Table2Result) table(name string) *scenario.Table {
+	t := scenario.NewTable(name, intc("heterogeneity"),
+		flt("avg_inst_tp"), flt("fcfs"), flt("optimal"), flt("worst"), flt("theoretical_fcfs"))
+	for i, row := range r.Rows {
+		t.Add(row.Heterogeneity, row.AvgInstTP, row.FCFS, row.Optimal, row.Worst, r.TheoreticalFCFS[i])
 	}
-	qsweep, err := e.QuadSweep()
-	if err != nil {
-		return nil, nil, err
-	}
-	theo := core.TheoreticalFCFSHeteroFractions(4, e.SMTTable().K())
-	smt = &Table2Result{
-		Name:            e.SMTTable().Name(),
-		Rows:            core.HeterogeneityTable(e.SMTTable(), ssweep.Workloads),
-		TheoreticalFCFS: theo,
-	}
-	quad = &Table2Result{
-		Name:            e.QuadTable().Name(),
-		Rows:            core.HeterogeneityTable(e.QuadTable(), qsweep.Workloads),
-		TheoreticalFCFS: theo,
-	}
-	return smt, quad, nil
+	return t
 }
 
 // Format renders the table with the paper's values quoted.

@@ -72,7 +72,7 @@ func Uarch(e *Env) (*UarchResult, error) {
 	rc.Parallelism = 1
 	err := runner.ForEach(context.Background(), rc, np, func(ctx context.Context, pi int) error {
 		pol := UarchPolicies[pi]
-		machine := e.Cfg.SMT
+		machine := uarch.DefaultSMT()
 		machine.Fetch = pol.Fetch
 		machine.ROB = pol.ROB
 		table, err := perfdb.BuildWith(ctx, runner.Config{Parallelism: e.Cfg.Parallelism}, perfdb.SMTModel{Machine: machine}, e.Cfg.Suite)
@@ -105,7 +105,6 @@ func Uarch(e *Env) (*UarchResult, error) {
 			if v > means[b] {
 				b = i
 			}
-			_ = v
 		}
 		return b
 	}

@@ -173,34 +173,3 @@ func (t *Table) Text() string {
 	}
 	return b.String()
 }
-
-// Distinct returns the distinct values of get over items, in first-seen
-// order — the one sorted-unique-axis helper every grid formatter shares.
-func Distinct[C any, V comparable](items []C, get func(C) V) []V {
-	var out []V
-	seen := map[V]bool{}
-	for _, it := range items {
-		v := get(it)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// DistinctStrings returns the distinct values of the named column in
-// first-seen order (panics on unknown columns, like Point.Index).
-func (t *Table) DistinctStrings(col string) []string {
-	ci := -1
-	for i, c := range t.Columns {
-		if c.Name == col {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
-		panic(fmt.Sprintf("scenario: table %s has no column %q", t.Name, col))
-	}
-	return Distinct(t.Rows, func(row []string) string { return row[ci] })
-}

@@ -85,31 +85,6 @@ func TestTableText(t *testing.T) {
 	}
 }
 
-func TestDistinct(t *testing.T) {
-	type cell struct {
-		d string
-		l float64
-	}
-	cells := []cell{{"rr", 0.5}, {"rr", 0.8}, {"li", 0.5}, {"li", 0.8}, {"rr", 0.5}}
-	if got := Distinct(cells, func(c cell) string { return c.d }); len(got) != 2 || got[0] != "rr" || got[1] != "li" {
-		t.Errorf("Distinct dispatchers = %v", got)
-	}
-	if got := Distinct(cells, func(c cell) float64 { return c.l }); len(got) != 2 || got[0] != 0.5 || got[1] != 0.8 {
-		t.Errorf("Distinct loads = %v", got)
-	}
-
-	tbl := sampleTable()
-	if got := tbl.DistinctStrings("sched"); len(got) != 3 || got[0] != "FCFS" {
-		t.Errorf("DistinctStrings = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown column did not panic")
-		}
-	}()
-	tbl.DistinctStrings("nope")
-}
-
 // TestWriteFileAtomic pins the temp-file-and-rename contract: a
 // successful write leaves exactly the final CSV, no .tmp residue, and
 // overwriting an existing file goes through the same atomic path.
