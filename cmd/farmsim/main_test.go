@@ -249,6 +249,17 @@ func TestRunErrors(t *testing.T) {
 	if code := run(context.Background(), []string{"-jobs", "300", "-reps", "1", "-loads", "0.5", "-sched", "NOPE"}, &out, &errb); code != 1 {
 		t.Errorf("unknown scheduler: run = %d, want 1", code)
 	}
+	// Dispatcher names are checked with the scheduler and estimator
+	// names, before any simulation: the error names no grid cell.
+	for _, name := range []string{"bogus", "pd0"} {
+		errb.Reset()
+		if code := run(context.Background(), []string{"-servers", "2", "-jobs", "300", "-reps", "1", "-loads", "0.5", "-dispatchers", name}, &out, &errb); code != 1 {
+			t.Errorf("dispatcher %s: run = %d, want 1", name, code)
+		}
+		if msg := errb.String(); !strings.Contains(msg, name) || strings.Contains(msg, "dispatcher="+name) || strings.Contains(msg, "load=") {
+			t.Errorf("dispatcher %s: want an error naming it without a cell prefix, got %q", name, msg)
+		}
+	}
 	// Counts below 1 are usage errors naming the flag, never a silent
 	// fallback to the default; so is a grid coordinate listed twice,
 	// which would run and write its cells twice.

@@ -2,8 +2,6 @@ package eventsim
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"symbiosched/internal/perfdb"
 	"symbiosched/internal/sched"
@@ -56,10 +54,11 @@ func Makespan(t *perfdb.Table, w workload.Workload, s sched.Scheduler, cfg Makes
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
+	// One server runs the batch: Reschedule, TimeToNextCompletion and
+	// Advance are the physics every event loop in this package shares.
 	rng := stats.NewRNG(cfg.Seed)
-	observer, _ := s.(sched.Observer)
-	system := make([]*sched.Job, cfg.Batch)
-	for i := range system {
+	sv := NewServer(t, s)
+	for i := 0; i < cfg.Batch; i++ {
 		size := cfg.JobSize
 		if cfg.SizeShape >= 1 {
 			size = 0
@@ -67,48 +66,20 @@ func Makespan(t *perfdb.Table, w workload.Workload, s sched.Scheduler, cfg Makes
 				size += rng.Exp(float64(cfg.SizeShape) / cfg.JobSize)
 			}
 		}
-		system[i] = &sched.Job{ID: i, Type: w[rng.Intn(len(w))], Size: size, Remaining: size}
+		sv.Add(&sched.Job{ID: i, Type: w[rng.Intn(len(w))], Size: size, Remaining: size})
 	}
 
 	var now, turnaround, idleTail float64
-	for len(system) > 0 {
-		running := s.Select(system, k)
-		if len(running) == 0 || len(running) > k {
-			return nil, fmt.Errorf("eventsim: scheduler %s selected %d jobs", s.Name(), len(running))
+	for sv.JobsInSystem() > 0 {
+		if err := sv.Reschedule(); err != nil {
+			return nil, err
 		}
-		cos := make(workload.Coschedule, len(running))
-		for i, ji := range running {
-			cos[i] = system[ji].Type
-		}
-		canon := workload.NewCoschedule(cos...)
-		dt := math.Inf(1)
-		for _, ji := range running {
-			j := system[ji]
-			if d := j.Remaining / t.JobWIPC(canon, j.Type); d < dt {
-				dt = d
-			}
-		}
+		dt := sv.TimeToNextCompletion()
 		now += dt
-		idleTail += float64(k-len(running)) * dt
-		for _, ji := range running {
-			j := system[ji]
-			j.Remaining -= t.JobWIPC(canon, j.Type) * dt
+		idleTail += float64(k-len(sv.Running())) * dt
+		for range sv.Advance(dt) {
+			turnaround += now
 		}
-		if observer != nil {
-			observer.Observe(canon, dt)
-		}
-		// Only running jobs complete: a waiting job holds its work,
-		// however little, until it runs.
-		kept := 0
-		for i, j := range system {
-			if j.Remaining <= eps && slices.Contains(running, i) {
-				turnaround += now
-				continue
-			}
-			system[kept] = j
-			kept++
-		}
-		system = system[:kept]
 	}
 	return &MakespanResult{
 		Makespan:         now,

@@ -7,10 +7,11 @@ import "symbiosched/internal/metrics"
 // MarginalInstTP guard their single hook behind one nil check, keeping
 // their 0 allocs/op pins and benchmark profile intact.
 //
-// Instruments are owned by one server's event loop and are not
-// synchronised; the farm engine gives each server its own collector and
-// merges the snapshots in server index order. All observations happen at
-// the server's own events with the server's own dt, so the accumulated
+// Instruments are not synchronised. One set may be shared by many
+// servers that one goroutine steps: the farm engine hands every server of
+// a run the same set, so the gauges and counters total the fleet, summed
+// in the engine's deterministic event order. All observations happen at
+// a server's own events with that server's own dt, so the accumulated
 // values do not depend on how the engine slices time into advance
 // horizons.
 type ServerMetrics struct {

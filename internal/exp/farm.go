@@ -135,6 +135,11 @@ func farmFleet(e *Env, opt FarmOptions) ([]farm.ServerSpec, float64, error) {
 	if _, err := sched.New(opt.Sched, val, w); err != nil {
 		return nil, 0, err
 	}
+	for _, name := range opt.Dispatchers {
+		if _, err := farm.NewDispatcher(name); err != nil {
+			return nil, 0, err
+		}
+	}
 	tps := make([]float64, len(tables))
 	for i, t := range tables {
 		tps[i] = core.FCFS(t, w, core.FCFSConfig{Jobs: e.Cfg.FCFSJobs, Seed: e.Cfg.Seed}).Throughput

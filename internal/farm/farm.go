@@ -200,9 +200,11 @@ type Result struct {
 	MeanJobsInSystem float64
 	// PerServer holds one entry per server, in server order.
 	PerServer []ServerStats
-	// Metrics is the run's merged instrumentation snapshot (nil unless
-	// Config.Metrics): dispatch instruments first, then every server's,
-	// merged in server index order. Like the Result scalars it is a
+	// Metrics is the run's instrumentation snapshot (nil unless
+	// Config.Metrics): the run's one collector, whose dispatch and fault
+	// instruments sit beside one server, scheduler and estimator set that
+	// every server shares. The engine's single-threaded event order fixes
+	// the order of every sum, so like the Result scalars it is a
 	// deterministic function of the run's inputs.
 	Metrics *metrics.Snapshot
 	// EngineStats is reserved for engine execution data that is not a

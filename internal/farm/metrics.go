@@ -12,44 +12,45 @@ import (
 // hook method is a nil-receiver no-op, so the engine stays on its
 // uninstrumented path.
 //
-// Each server gets its own collector, touched only when the engine steps
-// that server; the dispatch collector is touched only by the engine's
-// coordinator. The merged snapshot folds dispatch first, then the
-// servers in index order — the same index-ordered reduction that keeps
-// Results byte-identical.
+// The run has one collector. Every server shares one server, one
+// scheduler and one estimator instrument set on it, next to the dispatch
+// and fault instruments. The engine steps the whole fleet on one
+// goroutine in its deterministic (time, server index) event order, so
+// the shared instruments add the same terms in the same order on every
+// execution, and the snapshot is a function of the run's inputs.
 type runMetrics struct {
-	serverCols []*metrics.Collector
-	dispatch   *metrics.Collector
-	picks      *metrics.Counter
-	qlen       *metrics.Series
+	col   *metrics.Collector
+	picks *metrics.Counter
+	qlen  *metrics.Series
 
-	// Fault-injection instruments, on the dispatch collector (fault
-	// transitions and re-dispatch both run in the coordinator). All stay
-	// zero when faults are disabled.
+	// Fault-injection instruments. All stay zero when faults are
+	// disabled.
 	crashes      *metrics.Counter // fault_crashes: server failures
 	repairs      *metrics.Counter // fault_repairs: servers brought back up
 	redispatches *metrics.Counter // fault_redispatches: crash victims placed again
 	parks        *metrics.Counter // fault_parked: jobs shelved with every server down
 }
 
-// newRunMetrics instruments a freshly built fleet: per-server collectors
-// carrying the server, scheduler and (when learning) estimator
-// instruments, plus the dispatch-side picks counter and the
-// jobs-in-system series sampled at every arrival.
+// newRunMetrics instruments a freshly built fleet: one collector carrying
+// the dispatch-side picks counter, the jobs-in-system series sampled at
+// every arrival and the fault counters, plus the server, scheduler and
+// (when learning) estimator instrument sets every server shares.
 func newRunMetrics(servers []*eventsim.Server) *runMetrics {
-	rm := &runMetrics{dispatch: metrics.New()}
-	rm.picks = rm.dispatch.Counter("dispatch_picks")
-	rm.qlen = rm.dispatch.Series("farm_jobs_in_system", 256)
-	rm.crashes = rm.dispatch.Counter("fault_crashes")
-	rm.repairs = rm.dispatch.Counter("fault_repairs")
-	rm.redispatches = rm.dispatch.Counter("fault_redispatches")
-	rm.parks = rm.dispatch.Counter("fault_parked")
+	c := metrics.New()
+	rm := &runMetrics{
+		col:          c,
+		picks:        c.Counter("dispatch_picks"),
+		qlen:         c.Series("farm_jobs_in_system", 256),
+		crashes:      c.Counter("fault_crashes"),
+		repairs:      c.Counter("fault_repairs"),
+		redispatches: c.Counter("fault_redispatches"),
+		parks:        c.Counter("fault_parked"),
+	}
+	sm, scm, om := eventsim.NewServerMetrics(c), sched.NewMetrics(c), online.NewMetrics(c)
 	for _, sv := range servers {
-		c := metrics.New()
-		sv.SetMetrics(eventsim.NewServerMetrics(c))
-		sched.AttachMetrics(sv.Scheduler(), sched.NewMetrics(c))
-		online.AttachMetrics(sv.Rates(), online.NewMetrics(c))
-		rm.serverCols = append(rm.serverCols, c)
+		sv.SetMetrics(sm)
+		sched.AttachMetrics(sv.Scheduler(), scm)
+		online.AttachMetrics(sv.Rates(), om)
 	}
 	return rm
 }
@@ -92,19 +93,9 @@ func (rm *runMetrics) park() {
 	}
 }
 
-// snapshot merges the run's deterministic instruments: dispatch first,
-// then every server in index order.
-func (rm *runMetrics) snapshot() *metrics.Snapshot {
-	snap := rm.dispatch.Snapshot()
-	for _, c := range rm.serverCols {
-		snap.Merge(c.Snapshot())
-	}
-	return snap
-}
-
 // finish attaches the run's snapshot to the assembled result.
 func (rm *runMetrics) finish(res *Result) {
 	if rm != nil {
-		res.Metrics = rm.snapshot()
+		res.Metrics = rm.col.Snapshot()
 	}
 }

@@ -21,11 +21,13 @@
 //     parallelism level (the same argument internal/runner makes for
 //     results).
 //
-// Instruments are NOT internally synchronised: each single-threaded
-// event loop (one eventsim.Server, one dispatcher) owns its own
-// Collector, and engines merge per-owner snapshots in index order —
-// concurrency is handled by ownership, exactly like the simulation state
-// itself.
+// Instruments are NOT internally synchronised. A simulation run owns one
+// Collector: the farm engine steps its whole fleet on one goroutine, so
+// every server, scheduler and estimator of the run shares one instrument
+// set on it, and the shared instruments add their terms in the engine's
+// deterministic event order. Runs that execute in parallel (replications,
+// grid cells) each own their Collector, and their snapshots are merged in
+// enumeration order.
 package metrics
 
 import (
@@ -399,9 +401,9 @@ func (c *Collector) Snapshot() *Snapshot {
 // field) add their values; unmatched rows are inserted. The result is
 // re-sorted by (metric, ord, field), so merging any permutation-free
 // sequence of snapshots in a fixed order yields byte-identical CSV —
-// engines merge per-owner snapshots in index order for exactly this
-// reason. Counter sums stay exact (integers below 2^53); float sums
-// accumulate in call order.
+// sweeps merge their replications' and grid cells' snapshots in
+// enumeration order for exactly this reason. Counter sums stay exact
+// (integers below 2^53); float sums accumulate in call order.
 func (s *Snapshot) Merge(other *Snapshot) {
 	if other == nil {
 		return

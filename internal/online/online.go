@@ -143,16 +143,6 @@ func (Oracle) Epoch() uint64 { return 0 }
 // schedulers prune over the wrapper exactly as over the bare table.
 func (o Oracle) MaxJobWIPC(b, slots int) float64 { return o.Table.MaxJobWIPC(b, slots) }
 
-// JobWIPCByKey exposes the table's uint64-keyed probe, so schedulers take
-// the same fast path over the wrapper as over the bare table.
-func (o Oracle) JobWIPCByKey(k uint64, b int) float64 { return o.Table.JobWIPCByKey(k, b) }
-
-// InstTPByKey exposes the table's uint64-keyed probe.
-func (o Oracle) InstTPByKey(k uint64) float64 { return o.Table.InstTPByKey(k) }
-
-// TypeWIPCsByKey exposes the table's dense batch rate probe.
-func (o Oracle) TypeWIPCsByKey(k uint64) []float64 { return o.Table.TypeWIPCsByKey(k) }
-
 // ObserveInterval implements IntervalObserver: the oracle has nothing to
 // learn.
 func (Oracle) ObserveInterval(workload.Coschedule, float64, []float64) {}

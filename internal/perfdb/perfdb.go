@@ -113,7 +113,10 @@ type Entry struct {
 }
 
 // TypeWIPCs returns the entry's per-type WIPCs as a dense suite-indexed
-// slice (0 for absent types). Callers must not mutate it.
+// slice (0 for absent types): one map probe for the entry resolves every
+// type's rate. Callers must not mutate it, and may retain it only while
+// the table's Epoch stands (overrides are build-time edits, so within a
+// run that is forever).
 func (e *Entry) TypeWIPCs() []float64 { return e.wipc }
 
 // Marginal returns the entry's marginal row: element b is the stored
@@ -325,26 +328,6 @@ func (t *Table) JobWIPC(c workload.Coschedule, b int) float64 {
 	}
 	return e.wipc[b]
 }
-
-// JobWIPCByKey is JobWIPC keyed by Key(c).
-func (t *Table) JobWIPCByKey(k uint64, b int) float64 {
-	e := t.EntryByKey(k)
-	if !slices.Contains(e.Cos, b) {
-		panic(fmt.Sprintf("perfdb: type %d not in coschedule key %#x", b, k))
-	}
-	return e.wipc[b]
-}
-
-// InstTPByKey is InstTP keyed by Key(c).
-func (t *Table) InstTPByKey(k uint64) float64 { return t.EntryByKey(k).InstTP }
-
-// TypeWIPCsByKey returns the per-type WIPCs of the coschedule keyed by k
-// as a dense suite-indexed slice (0 for absent types). It is the batch
-// form of JobWIPCByKey: one map probe resolves every type's rate, and
-// scoring loops index the returned slice. Callers must not mutate it, and
-// may retain it only while the table's Epoch stands (overrides are
-// build-time edits, so within a run that is forever).
-func (t *Table) TypeWIPCsByKey(k uint64) []float64 { return t.EntryByKey(k).wipc }
 
 // IdleMarginal returns the marginal row of the empty coschedule: element
 // b is InstTP({b}), the gain of starting one type-b job on an idle

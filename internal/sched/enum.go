@@ -35,7 +35,7 @@ type enumerator struct {
 	ways   []int               // candidates' counting scratch
 	best   []int               // winning count vector (copied on improvement)
 	cos    workload.Coschedule // scratch candidate multiset, sorted
-	cosKey uint64              // perfdb.Key(cos), maintained by buildCos
+	cosKey uint64              // perfdb.Key of the candidate, maintained by buildKey
 
 	// Branch-and-bound state, valid after setBounds (and setHeads and
 	// setRemBounds for SRPT) until the next reset. m is the candidate
@@ -60,12 +60,12 @@ type enumerator struct {
 	bndPlaced []int
 	dirty     int
 
-	// Dense-rate cache: a direct-mapped (key -> TypeWIPCsByKey result)
-	// table serving repeated candidate probes without the map lookup.
-	// Entries survive across decisions for as long as the source's rate
-	// epoch stands — the same soundness argument as MAXIT's decision
-	// memo — and rcKey 0 marks an empty slot (real keys are never 0:
-	// perfdb keys carry a leading length marker).
+	// Dense-rate cache: a direct-mapped (key -> the keyed table entry's
+	// TypeWIPCs) table serving repeated candidate probes without the map
+	// lookup. Entries survive across decisions for as long as the
+	// source's rate epoch stands — the same soundness argument as
+	// MAXIT's decision memo — and rcKey 0 marks an empty slot (real keys
+	// are never 0: perfdb keys carry a leading length marker).
 	rcKey   [1 << rcBits]uint64
 	rcVal   [1 << rcBits][]float64
 	rcEpoch uint64
@@ -174,23 +174,20 @@ func (e *enumerator) nextFrom(p int) bool {
 	return false
 }
 
-// buildCos materialises the current count vector as a sorted multiset and
-// folds its perfdb.Key alongside (valid for keyed rate sources, whose
-// tables enforce the key's type/length bounds).
+// buildCos materialises the current count vector as a sorted multiset,
+// the form a learned rate source is probed with.
 func (e *enumerator) buildCos() {
 	e.cos = e.cos[:0]
-	e.cosKey = perfdb.EmptyKey
 	for ti, c := range e.counts {
 		for j := 0; j < c; j++ {
 			e.cos = append(e.cos, e.types[ti])
-			e.cosKey = perfdb.KeyAppend(e.cosKey, e.types[ti])
 		}
 	}
 }
 
 // buildKey folds just the perfdb.Key of the current count vector, leaving
-// the cos scratch stale — the fast path for keyed rate sources, which
-// never read the materialised multiset.
+// the cos scratch stale — the fast path over the oracle table, which
+// never reads the materialised multiset.
 func (e *enumerator) buildKey() {
 	e.cosKey = perfdb.EmptyKey
 	for ti, c := range e.counts {
@@ -211,16 +208,17 @@ func (e *enumerator) primeRateCache(ep uint64) {
 	e.rcEpoch, e.rcLive = ep, true
 }
 
-// ratesFor serves dr.TypeWIPCsByKey(key) through the direct-mapped cache:
-// queue compositions repeat heavily between scheduling events, so most
-// candidates resolve to one uint64 compare instead of a map probe.
-// primeRateCache must have run for the current epoch first.
-func (e *enumerator) ratesFor(dr denseRates, key uint64) []float64 {
+// ratesFor serves t.EntryByKey(key).TypeWIPCs() through the
+// direct-mapped cache: queue compositions repeat heavily between
+// scheduling events, so most candidates resolve to one uint64 compare
+// instead of a map probe. primeRateCache must have run for the current
+// epoch first.
+func (e *enumerator) ratesFor(t *perfdb.Table, key uint64) []float64 {
 	s := (key * 0x9e3779b97f4a7c15) >> (64 - rcBits)
 	if e.rcKey[s] == key {
 		return e.rcVal[s]
 	}
-	r := dr.TypeWIPCsByKey(key)
+	r := t.EntryByKey(key).TypeWIPCs()
 	e.rcKey[s], e.rcVal[s] = key, r
 	return r
 }

@@ -83,23 +83,6 @@ type Observer interface {
 	Observe(cos workload.Coschedule, dt float64)
 }
 
-// keyedRates is the uint64 probe fast path: rate sources that can be
-// queried by a perfdb.Key avoid re-deriving the key per candidate.
-// *perfdb.Table and online.Oracle implement it.
-type keyedRates interface {
-	InstTPByKey(key uint64) float64
-	JobWIPCByKey(key uint64, b int) float64
-}
-
-// denseRates is the batch probe fast path on top of keyedRates: one call
-// returns every type's WIPC in the keyed coschedule as a dense slice (the
-// same stored values JobWIPCByKey serves, so scores stay bit-identical),
-// turning SRPT's per-type map probes into one probe per candidate.
-// *perfdb.Table and online.Oracle implement it.
-type denseRates interface {
-	TypeWIPCsByKey(key uint64) []float64
-}
-
 // tieTol is the instantaneous-throughput tolerance within which MAXIT
 // considers two candidates tied and defers to job age.
 const tieTol = 1e-12
@@ -123,9 +106,9 @@ func New(name string, rs online.RateSource, w workload.Workload) (Scheduler, err
 	case "SRPT":
 		return &SRPT{Rates: rs}, nil
 	case "MAXTP":
-		t, err := oracleTable(rs)
-		if err != nil {
-			return nil, err
+		t := oracleTable(rs)
+		if t == nil {
+			return nil, fmt.Errorf("sched: MAXTP needs the oracle table, not the %s estimator (its offline LP phase requires full knowledge)", rs.Name())
 		}
 		return NewMAXTP(t, w)
 	default:
@@ -134,17 +117,19 @@ func New(name string, rs online.RateSource, w workload.Workload) (Scheduler, err
 	}
 }
 
-// oracleTable unwraps the oracle performance table from a rate source, for
-// the schedulers whose offline phase needs the full database.
-func oracleTable(rs online.RateSource) (*perfdb.Table, error) {
+// oracleTable unwraps the oracle performance table from a rate source —
+// the table itself or the online.Oracle wrapper around it — or returns
+// nil for a learned source. MAXTP's offline phase needs the table; MAXIT
+// and SRPT probe it by perfdb key, one map probe per candidate, instead
+// of re-deriving the key from a materialised coschedule.
+func oracleTable(rs online.RateSource) *perfdb.Table {
 	switch s := rs.(type) {
 	case *perfdb.Table:
-		return s, nil
+		return s
 	case online.Oracle:
-		return s.Table, nil
-	default:
-		return nil, fmt.Errorf("sched: MAXTP needs the oracle table, not the %s estimator (its offline LP phase requires full knowledge)", rs.Name())
+		return s.Table
 	}
+	return nil
 }
 
 // FCFS runs jobs strictly in arrival order. It carries a lazily grown
@@ -245,7 +230,7 @@ func (m *MAXIT) decide(q *Summary, k int) []int {
 		}
 		m.Met.miss()
 	}
-	kr, keyed := m.Rates.(keyedRates)
+	tab := oracleTable(m.Rates)
 	n := min(k, q.n)
 	prune := e.setBounds(m.Rates, n)
 	bestTP, bestAge := math.Inf(-1), math.Inf(1)
@@ -263,9 +248,9 @@ func (m *MAXIT) decide(q *Summary, k int) []int {
 		}
 		scored++
 		var tp float64
-		if keyed {
+		if tab != nil {
 			e.buildKey()
-			tp = kr.InstTPByKey(e.cosKey)
+			tp = tab.EntryByKey(e.cosKey).InstTP
 		} else {
 			e.buildCos()
 			tp = m.Rates.InstTP(e.cos)
@@ -356,9 +341,8 @@ func (s *SRPT) decide(q *Summary, k int) []int {
 // prune is set and the source exposes rate bounds.
 func (s *SRPT) walk(q *Summary, n int, prune bool) []int {
 	e := &s.enum
-	kr, keyed := s.Rates.(keyedRates)
-	dr, dense := s.Rates.(denseRates)
-	if dense {
+	tab := oracleTable(s.Rates)
+	if tab != nil {
 		e.primeRateCache(s.Rates.Epoch())
 	}
 	e.setHeads(q, n)
@@ -377,7 +361,7 @@ func (s *SRPT) walk(q *Summary, n int, prune bool) []int {
 		// bit-identical to the unseeded walk.
 		e.greedySeed(n)
 		scored++
-		thr = math.Nextafter(s.score(e, kr, keyed, dr, dense, math.Inf(1)), math.Inf(1))
+		thr = math.Nextafter(s.score(e, tab, math.Inf(1)), math.Inf(1))
 	}
 	bestSum := math.Inf(1)
 	for ok := e.firstCandidate(n); ok; {
@@ -391,7 +375,7 @@ func (s *SRPT) walk(q *Summary, n int, prune bool) []int {
 			}
 		}
 		scored++
-		sum := s.score(e, kr, keyed, dr, dense, bestSum)
+		sum := s.score(e, tab, bestSum)
 		if sum < bestSum {
 			e.keepBest()
 			bestSum = sum
@@ -420,16 +404,15 @@ const srptPruneFrom = 17
 // bit-identical to the pre-pruning walk's. Scoring may stop early once
 // the partial sum reaches limit: remaining terms are non-negative, so the
 // candidate cannot improve any more, and callers ignore non-improving
-// scores.
-func (s *SRPT) score(e *enumerator, kr keyedRates, keyed bool, dr denseRates, dense bool, limit float64) float64 {
-	if keyed || dense {
+// scores. tab is oracleTable(s.Rates): nil for a learned source, which
+// is probed with the materialised coschedule.
+func (s *SRPT) score(e *enumerator, tab *perfdb.Table, limit float64) float64 {
+	var rates []float64
+	if tab != nil {
 		e.buildKey()
+		rates = e.ratesFor(tab, e.cosKey)
 	} else {
 		e.buildCos()
-	}
-	var rates []float64
-	if dense {
-		rates = e.ratesFor(dr, e.cosKey)
 	}
 	var sum float64
 	for ti, c := range e.counts {
@@ -437,10 +420,8 @@ func (s *SRPT) score(e *enumerator, kr keyedRates, keyed bool, dr denseRates, de
 			continue
 		}
 		var rate float64
-		if dense {
+		if tab != nil {
 			rate = rates[e.types[ti]]
-		} else if keyed {
-			rate = kr.JobWIPCByKey(e.cosKey, e.types[ti])
 		} else {
 			rate = s.Rates.JobWIPC(e.cos, e.types[ti])
 		}
