@@ -9,7 +9,7 @@
 //	symbiosim diff [-db dir] [-tol f] <ref> <ref>
 //	symbiosim bench-record [-db dir] [-in file] [-ledger file]
 //	symbiosim resultdb [-db dir] list | show <ref>
-//	symbiosim perfgate [-db dir] [-base-db dir] [-tol 0.10] <base> <cur>
+//	symbiosim perfgate <parent-output> <change-output>
 //	symbiosim trend [-db dir] [-scenario bench] [-bench substr] [-metric substr] [-last N] [-csv dir]
 //
 // Scenarios come from the internal/scenario registry (see `symbiosim
@@ -27,8 +27,9 @@
 // stores each scenario's tables and metrics as a content-addressed
 // record in the given resultdb directory, and -cpuprofile/-memprofile
 // write runtime/pprof profiles of the run. The diff, bench-record,
-// resultdb, perfgate and trend subcommands operate on the record store;
-// see their -h output and internal/resultdb.
+// resultdb and trend subcommands operate on the record store; see their
+// -h output and internal/resultdb. perfgate compares two files of paired
+// benchmark output, a parent's and a change's (perf/gate.sh).
 //
 // symbiosim exits non-zero on SIGINT/SIGTERM: the in-flight scenario is
 // cancelled and its partial work discarded. Scenario tables are written

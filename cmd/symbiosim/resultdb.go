@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,12 +25,6 @@ import (
 // defaultDB is where the resultdb subcommands look for records unless
 // -db says otherwise.
 const defaultDB = "resultdb"
-
-// defaultGateBenches are the hot-path benchmarks the perf gate pins by
-// default: the deepest Select decision paths. BenchmarkCalibration rides
-// along in every record as the machine-speed reference the gate
-// normalises by; it is never gated itself.
-const defaultGateBenches = "BenchmarkSchedulerSelect/MAXIT/depth=32,BenchmarkSchedulerSelect/SRPT/depth=32"
 
 // currentCommit best-effort identifies the commit a record belongs to:
 // the SYMBIOSIM_COMMIT / GITHUB_SHA environment (CI), else the .git HEAD
@@ -171,6 +166,12 @@ func runDiffCmd(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	// A NaN or infinite tolerance would hide every numeric delta, and a
+	// negative one would act as 0.
+	if !(*tol >= 0) || math.IsInf(*tol, 1) {
+		fmt.Fprintf(stderr, "symbiosim: -tol %v: want a finite non-negative tolerance\n", *tol)
+		return 2
+	}
 	st, ok := openStore(*db, stderr)
 	if !ok {
 		return 2
@@ -204,24 +205,10 @@ func runBenchRecordCmd(args []string, stdout, stderr io.Writer) int {
 	if ok, code := parseOrUsage(fs, args, "symbiosim bench-record [-db dir] [-in file] [-scenario s] [-note s] [-ledger file] < bench-output", stderr); !ok {
 		return code
 	}
-	var r io.Reader = os.Stdin
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fmt.Fprintf(stderr, "symbiosim: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		r = f
-	}
-	benches, err := resultdb.ParseBench(r)
+	benches, err := readBench(*in)
 	if err != nil {
 		fmt.Fprintf(stderr, "symbiosim: %v\n", err)
-		return 1
-	}
-	if len(benches) == 0 {
-		fmt.Fprintf(stderr, "symbiosim: no benchmark lines in input\n")
-		return 1
+		return 2
 	}
 	rec := &resultdb.Record{
 		Scenario:   *scen,
@@ -333,56 +320,60 @@ func runResultDBCmd(args []string, stdout, stderr io.Writer) int {
 	}
 }
 
-// runPerfGateCmd implements `symbiosim perfgate`: compare the pinned
-// hot-path benchmarks of two records (possibly from different stores:
-// -base-db holds the committed baseline, -db the fresh CI record),
-// failing with exit 1 on calibration-normalised drift beyond -tol.
+// runPerfGateCmd implements `symbiosim perfgate`: compare two `go test
+// -bench` outputs of the same benchmarks, the parent's and the change's,
+// taken in alternating pairs on one machine (perf/gate.sh). Exit 0
+// means no benchmark failed, 1 that one did, 2 a usage error, an
+// unreadable or corrupt file, or samples that cannot be paired.
 func runPerfGateCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("symbiosim perfgate", flag.ContinueOnError)
-	db := fs.String("db", defaultDB, "record store holding the current record")
-	baseDB := fs.String("base-db", "", "record store holding the baseline record (default: -db)")
-	tol := fs.Float64("tol", 0.10, "maximum tolerated normalised ns/op drift")
-	benches := fs.String("bench", defaultGateBenches, "comma-separated benchmark names to gate")
-	if ok, code := parseOrUsage(fs, args, "symbiosim perfgate [-db dir] [-base-db dir] [-tol 0.10] [-bench names] <base-ref> <cur-ref>", stderr); !ok {
+	if ok, code := parseOrUsage(fs, args, "symbiosim perfgate <parent-output> <change-output>", stderr); !ok {
 		return code
 	}
 	if fs.NArg() != 2 {
 		fs.Usage()
 		return 2
 	}
-	if *baseDB == "" {
-		*baseDB = *db
-	}
-	baseSt, ok := openStore(*baseDB, stderr)
-	if !ok {
-		return 2
-	}
-	curSt, ok := openStore(*db, stderr)
-	if !ok {
-		return 2
-	}
-	base, ok := getByRef(baseSt, fs.Arg(0), stderr)
-	if !ok {
-		return 2
-	}
-	cur, ok := getByRef(curSt, fs.Arg(1), stderr)
-	if !ok {
-		return 2
-	}
-	var names []string
-	for _, n := range strings.Split(*benches, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
+	var sides [2][]resultdb.Bench
+	for i := range sides {
+		bs, err := readBench(fs.Arg(i))
+		if err != nil {
+			fmt.Fprintf(stderr, "symbiosim: %v\n", err)
+			return 2
 		}
+		sides[i] = bs
 	}
-	rs, err := resultdb.Gate(base, cur, names, *tol)
+	rs, err := resultdb.Gate(sides[0], sides[1])
 	if err != nil {
 		fmt.Fprintf(stderr, "symbiosim: %v\n", err)
-		return 1
+		return 2
 	}
-	fmt.Fprint(stdout, resultdb.FormatGate(rs, *tol))
+	fmt.Fprint(stdout, resultdb.FormatGate(rs))
 	if resultdb.Failed(rs) {
 		return 1
 	}
 	return 0
+}
+
+// readBench parses one file of `go test -bench` output, "-" meaning
+// stdin; a file with no benchmark line is an error, as a record or a
+// gate of it would hold nothing.
+func readBench(path string) ([]resultdb.Bench, error) {
+	var r io.Reader = os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		r = f
+	}
+	bs, err := resultdb.ParseBench(r)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(bs) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark lines", path)
+	}
+	return bs, nil
 }

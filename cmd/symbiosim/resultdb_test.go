@@ -71,19 +71,17 @@ func TestRunRecord(t *testing.T) {
 }
 
 // benchOutput fabricates one `go test -bench` result block with the
-// given MAXIT depth=32 ns/op, calibration held fixed so perfgate's
-// normalisation is a no-op in this test.
+// given MAXIT depth=32 ns/op.
 func benchOutput(maxitNs string) string {
 	return "goos: linux\n" +
 		"BenchmarkSchedulerSelect/MAXIT/depth=32-8 \t 100 \t " + maxitNs + " ns/op \t 0 B/op \t 0 allocs/op\n" +
 		"BenchmarkSchedulerSelect/SRPT/depth=32-8 \t 100 \t 1300 ns/op \t 0 B/op \t 0 allocs/op\n" +
-		"BenchmarkCalibration-8 \t 100 \t 2000 ns/op\n" +
 		"PASS\n"
 }
 
-// TestBenchRecordDiffAndGate drives the full perf-trajectory loop at the
-// CLI level: record a baseline and a 25%-regressed run, see the diff,
-// and watch perfgate fail the regression but pass the identical pair.
+// TestBenchRecordDiffAndGate drives the perf-trajectory loop at the CLI
+// level: record a baseline and a 25%-regressed run and see the diff,
+// then gate the same two outputs as one parent/change pair.
 func TestBenchRecordDiffAndGate(t *testing.T) {
 	dir := t.TempDir()
 	db := filepath.Join(dir, "db")
@@ -101,15 +99,15 @@ func TestBenchRecordDiffAndGate(t *testing.T) {
 	if code := run(context.Background(), []string{"bench-record", "-db", db, "-in", base, "-ledger", ledger}, &out, &errb); code != 0 {
 		t.Fatalf("bench-record base = %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "recorded 3 benchmarks") {
+	if !strings.Contains(out.String(), "recorded 2 benchmarks") {
 		t.Fatalf("bench-record output unexpected:\n%s", out.String())
 	}
 	data, err := os.ReadFile(ledger)
 	if err != nil {
 		t.Fatalf("ledger not written: %v", err)
 	}
-	if !strings.Contains(string(data), "BenchmarkCalibration") {
-		t.Errorf("ledger missing calibration entry:\n%s", data)
+	if !strings.Contains(string(data), "BenchmarkSchedulerSelect/SRPT/depth=32") {
+		t.Errorf("ledger missing the SRPT entry:\n%s", data)
 	}
 	// Make the baseline strictly older so "latest"/"latest~1" order is
 	// independent of filesystem timestamp granularity.
@@ -138,24 +136,61 @@ func TestBenchRecordDiffAndGate(t *testing.T) {
 		t.Errorf("diff at 30%% tolerance = %d, want 0", code)
 	}
 
-	// perfgate: identical pair passes, the 25% regression fails the
-	// default 10% gate, and the report names the failure.
+	// perfgate reads the same outputs: one pair, the change 25% slower
+	// in it, fails MAXIT and passes SRPT.
 	out.Reset()
-	if code := run(context.Background(), []string{"perfgate", "-db", db, "latest~1", "latest~1"}, &out, &errb); code != 0 {
-		t.Fatalf("perfgate identical = %d, stderr: %s", code, errb.String())
-	}
-	out.Reset()
-	if code := run(context.Background(), []string{"perfgate", "-db", db, "latest~1", "latest"}, &out, &errb); code != 1 {
+	if code := run(context.Background(), []string{"perfgate", base, slow}, &out, &errb); code != 1 {
 		t.Fatalf("perfgate regressed = %d, want 1; stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "FAIL") || !strings.Contains(out.String(), "+25.0%") {
+	if !strings.Contains(out.String(), "FAIL BenchmarkSchedulerSelect/MAXIT/depth=32") ||
+		!strings.Contains(out.String(), "ok   BenchmarkSchedulerSelect/SRPT/depth=32") {
 		t.Errorf("gate report unexpected:\n%s", out.String())
 	}
-	// Cross-store comparison: -base-db may point at a separate baseline
-	// store, the shape CI uses with a committed baseline.
-	out.Reset()
-	if code := run(context.Background(), []string{"perfgate", "-db", db, "-base-db", db, "latest~1", "latest"}, &out, &errb); code != 1 {
-		t.Errorf("perfgate -base-db = %d, want 1", code)
+}
+
+// TestPerfGateExitCodes pins perfgate's exit codes on written files:
+// 0 when nothing fails, 1 when a benchmark fails, 2 for a usage error,
+// an unreadable or corrupt file and samples that cannot be paired.
+func TestPerfGateExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, ns ...string) string {
+		var b strings.Builder
+		for _, v := range ns {
+			b.WriteString(benchOutput(v))
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	parent := write("parent.txt", "100", "104", "98", "101", "99", "102", "100", "97", "103", "100")
+	same := write("same.txt", "101", "103", "99", "100", "98", "103", "100", "98", "102", "101")
+	slow := write("slow.txt", "300", "312", "294", "303", "297", "306", "300", "291", "309", "300")
+	short := write("short.txt", "100", "104")
+	nan := filepath.Join(dir, "nan.txt")
+	if err := os.WriteFile(nan, []byte("BenchmarkSchedulerSelect/MAXIT/depth=32-8  100  NaN ns/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	empty := write("empty.txt")
+	for _, tc := range []struct {
+		desc string
+		args []string
+		want int
+	}{
+		{"same code", []string{parent, same}, 0},
+		{"3x slower in every pair", []string{parent, slow}, 1},
+		{"one file", []string{parent}, 2},
+		{"a removed flag", []string{"-tol", "0.5", parent, same}, 2},
+		{"missing file", []string{parent, filepath.Join(dir, "absent.txt")}, 2},
+		{"NaN ns/op", []string{parent, nan}, 2},
+		{"no benchmark lines", []string{empty, same}, 2},
+		{"unequal sample counts", []string{parent, short}, 2},
+	} {
+		var out, errb strings.Builder
+		if code := run(context.Background(), append([]string{"perfgate"}, tc.args...), &out, &errb); code != tc.want {
+			t.Errorf("%s: perfgate = %d, want %d; stdout:\n%s\nstderr: %s", tc.desc, code, tc.want, out.String(), errb.String())
+		}
 	}
 }
 
@@ -174,6 +209,39 @@ func TestSubcommandUsageErrors(t *testing.T) {
 	}
 	if code := run(context.Background(), []string{"diff", "-db", t.TempDir(), "latest", "latest"}, &out, &errb); code != 2 {
 		t.Errorf("diff over empty store = %d, want 2", code)
+	}
+	// A NaN or infinite tolerance would hide every delta, and a negative
+	// one means nothing: each is rejected even over a readable record.
+	dir := t.TempDir()
+	db, in := filepath.Join(dir, "db"), filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(in, []byte(benchOutput("100")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run(context.Background(), []string{"bench-record", "-db", db, "-in", in}, &out, &errb); code != 0 {
+		t.Fatalf("bench-record = %d, stderr: %s", code, errb.String())
+	}
+	for _, tol := range []string{"NaN", "Inf", "-1"} {
+		errb.Reset()
+		if code := run(context.Background(), []string{"diff", "-db", db, "-tol", tol, "latest", "latest"}, &out, &errb); code != 2 {
+			t.Errorf("diff -tol %s = %d, want 2", tol, code)
+		}
+		if !strings.Contains(errb.String(), "-tol") {
+			t.Errorf("diff -tol %s: stderr %q does not name the flag", tol, errb.String())
+		}
+	}
+	// bench-record rejects unreadable, corrupt or empty bench output
+	// with exit 2, as perfgate does.
+	nan, empty := filepath.Join(dir, "nan.txt"), filepath.Join(dir, "empty.txt")
+	if err := os.WriteFile(nan, []byte("BenchmarkX-8  100  NaN ns/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(empty, []byte("PASS\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{nan, empty, filepath.Join(dir, "absent.txt")} {
+		if code := run(context.Background(), []string{"bench-record", "-db", db, "-in", bad}, &out, &errb); code != 2 {
+			t.Errorf("bench-record -in %s = %d, want 2", filepath.Base(bad), code)
+		}
 	}
 }
 

@@ -2,96 +2,119 @@ package resultdb
 
 import (
 	"fmt"
-	"math"
 	"strings"
+
+	"symbiosched/internal/stats"
 )
 
-// CalibrationBench is the name of the fixed pure-CPU benchmark
-// (internal/sched's BenchmarkCalibration) both sides of a perf gate are
-// expected to carry. Normalising every hot-path ns/op by the same
-// record's calibration ns/op cancels machine speed: the gate then
-// compares work-per-calibration-unit, so a baseline recorded on a fast
-// workstation still gates a slower CI runner at the intended tolerance.
-const CalibrationBench = "BenchmarkCalibration"
+// The gate's rule: a benchmark fails when the change's median ns/op is
+// more than GateTol above the parent's and the change was slower in at
+// least GateShare of the pairs. The pair count guards the median test:
+// on a shared host the medians of two runs of one binary often sit more
+// than GateTol apart, while a slower change is slower pair after pair.
+const (
+	GateTol   = 0.10
+	GateShare = 0.9
+)
 
-// GateResult is the outcome of one benchmark comparison within a gate.
+// GateResult is the outcome of one benchmark in a paired gate.
 type GateResult struct {
 	Name string
-	// BaseNs and CurNs are the raw ns/op on each side; Drift is the
-	// calibration-normalised relative change (positive = regression).
-	BaseNs, CurNs float64
-	Drift         float64
+	// ParentNs and ChangeNs are the medians of each side's ns/op
+	// samples, 0 for a side without the benchmark.
+	ParentNs, ChangeNs float64
+	// Pairs is the number of paired samples, and Slower the pairs in
+	// which the change's sample exceeded the parent's; both are 0 when
+	// the benchmark is missing on one side.
+	Pairs, Slower int
 	Failed        bool
 }
 
-// Gate compares the named hot-path benchmarks of cur against base,
-// failing any whose calibration-normalised ns/op drifted up by more
-// than tol (e.g. 0.10 for the CI 10% gate). Benchmarks named in names
-// but missing on either side fail the gate outright — silently dropping
-// a pinned benchmark must not pass. When both records carry
-// CalibrationBench, drifts are normalised by the calibration ratio;
-// otherwise raw ns/op ratios are compared (same-machine comparisons).
-// Improvements (negative drift) never fail. Corrupt timings do: a
-// pinned benchmark whose ns/op is not a finite positive number on
-// either side fails, as does any drift that is not a finite number at
-// or below tol, and when both records carry CalibrationBench but either
-// calibration is not a finite positive number, every pinned benchmark
-// fails — the drifts cannot be normalised, and comparing raw ns/op
-// across machines could hide a regression.
-func Gate(base, cur *Record, names []string, tol float64) ([]GateResult, error) {
-	bb := map[string]Bench{}
-	for _, b := range base.Benches {
-		bb[b.Name] = b
-	}
-	cb := map[string]Bench{}
-	for _, b := range cur.Benches {
-		cb[b.Name] = b
-	}
-	scale, calOK := 1.0, true
-	if bc, ok1 := bb[CalibrationBench]; ok1 {
-		if cc, ok2 := cb[CalibrationBench]; ok2 {
-			// cur ns are worth (base_cal / cur_cal) base ns.
-			scale = bc.NsPerOp / cc.NsPerOp
-			calOK = validNs(bc.NsPerOp) && validNs(cc.NsPerOp)
-		}
-	}
+// New reports whether the benchmark ran only in the change: it is
+// listed, not gated.
+func (r GateResult) New() bool { return r.Pairs == 0 && !r.Failed }
+
+// Gate compares paired benchmark samples of a parent and a change run
+// side by side on one machine. Each side holds every sample of its run
+// in output order, so the i-th sample of a benchmark on each side
+// belongs to pair i. Every benchmark of the parent is gated, in the
+// order of its first sample: it fails when the change lacks it, when
+// the parent's median is not positive (no ratio can be formed), or by
+// the GateTol and GateShare rule. Benchmarks found only in the change
+// follow as new. A benchmark whose sample counts differ between the
+// sides is an error: its samples cannot be paired.
+func Gate(parent, change []Bench) ([]GateResult, error) {
+	pNames, pSamples := samples(parent)
+	cNames, cSamples := samples(change)
 	var out []GateResult
-	for _, name := range names {
-		b, okB := bb[name]
-		c, okC := cb[name]
-		if !okB || !okC {
-			out = append(out, GateResult{Name: name, Drift: math.Inf(1), Failed: true})
+	for _, name := range pNames {
+		p, c := pSamples[name], cSamples[name]
+		if len(c) == 0 {
+			out = append(out, GateResult{Name: name, ParentNs: stats.Quantile(p, 0.5), Failed: true})
 			continue
 		}
-		drift := (c.NsPerOp*scale)/b.NsPerOp - 1
-		ok := calOK && validNs(b.NsPerOp) && validNs(c.NsPerOp) && drift <= tol && !math.IsInf(drift, 0)
-		out = append(out, GateResult{
-			Name: name, BaseNs: b.NsPerOp, CurNs: c.NsPerOp,
-			Drift: drift, Failed: !ok,
-		})
+		if len(p) != len(c) {
+			return nil, fmt.Errorf("resultdb: gate: %s has %d parent samples and %d change samples", name, len(p), len(c))
+		}
+		r := GateResult{
+			Name:     name,
+			ParentNs: stats.Quantile(p, 0.5),
+			ChangeNs: stats.Quantile(c, 0.5),
+			Pairs:    len(p),
+		}
+		for i := range p {
+			if c[i] > p[i] {
+				r.Slower++
+			}
+		}
+		r.Failed = !(r.ParentNs > 0) ||
+			r.ChangeNs > (1+GateTol)*r.ParentNs && float64(r.Slower) >= GateShare*float64(r.Pairs)
+		out = append(out, r)
+	}
+	for _, name := range cNames {
+		if _, ok := pSamples[name]; !ok {
+			out = append(out, GateResult{Name: name, ChangeNs: stats.Quantile(cSamples[name], 0.5)})
+		}
 	}
 	return out, nil
 }
 
-// validNs reports whether ns is a usable timing: finite and positive.
-func validNs(ns float64) bool { return ns > 0 && !math.IsInf(ns, 1) }
+// samples groups bs's ns/op by benchmark name, keeping output order
+// within a name, and returns the names in order of first appearance.
+func samples(bs []Bench) ([]string, map[string][]float64) {
+	var names []string
+	by := map[string][]float64{}
+	for _, b := range bs {
+		if _, ok := by[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		by[b.Name] = append(by[b.Name], b.NsPerOp)
+	}
+	return names, by
+}
 
-// FormatGate renders gate results; failed lines carry a FAIL marker so
-// CI logs point straight at the regressing benchmark.
-func FormatGate(rs []GateResult, tol float64) string {
+// FormatGate renders gate results, one line per benchmark: its status
+// (ok, FAIL or new), the two medians, their ratio and the pairs in
+// which the change was slower. FAIL lines point CI logs straight at the
+// regressing benchmark.
+func FormatGate(rs []GateResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "perf gate (tolerance %+.0f%%, calibration-normalised):\n", 100*tol)
+	fmt.Fprintf(&b, "perf gate: a benchmark fails when the change's median ns/op is more than %.0f%% above the parent's and the change was slower in at least %.0f%% of the pairs\n",
+		100*GateTol, 100*GateShare)
 	for _, r := range rs {
-		status := "ok"
-		if r.Failed {
+		status, ratio, pairs := "ok", "n/a", fmt.Sprintf("slower in %d/%d pairs", r.Slower, r.Pairs)
+		switch {
+		case r.New():
+			status, pairs = "new", "not gated"
+		case r.Pairs == 0:
+			status, pairs = "FAIL", "missing from the change"
+		case r.Failed:
 			status = "FAIL"
 		}
-		if math.IsInf(r.Drift, 1) && r.BaseNs == 0 {
-			fmt.Fprintf(&b, "  %-4s %-50s missing on one side\n", status, r.Name)
-			continue
+		if r.Pairs > 0 && r.ParentNs > 0 {
+			ratio = fmt.Sprintf("%.2fx", r.ChangeNs/r.ParentNs)
 		}
-		fmt.Fprintf(&b, "  %-4s %-50s %10.1f -> %10.1f ns/op (%+.1f%% normalised)\n",
-			status, r.Name, r.BaseNs, r.CurNs, 100*r.Drift)
+		fmt.Fprintf(&b, "  %-4s %-60s %12.1f -> %12.1f ns/op  %6s  %s\n", status, r.Name, r.ParentNs, r.ChangeNs, ratio, pairs)
 	}
 	return b.String()
 }

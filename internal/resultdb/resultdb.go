@@ -12,9 +12,11 @@
 // of the run's results. Two runs with equal results collide into one
 // file, which is exactly the dedup a results database wants.
 //
-// On top of the store sit Diff — per-cell, per-metric and per-bench
-// deltas with relative tolerance — and the calibration-normalised bench
-// gate CI enforces (see gate.go).
+// On top of the store sits Diff: per-cell, per-metric and per-bench
+// deltas with relative tolerance. Beside it, ParseBench reads `go test
+// -bench` output, and Gate compares a parent's and a change's benchmark
+// samples taken in alternating pairs on one machine (perf/gate.sh, the
+// perf gate CI enforces); the gate reads no stored record.
 package resultdb
 
 import (

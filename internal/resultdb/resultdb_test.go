@@ -32,7 +32,7 @@ func sampleRecord() *Record {
 		},
 		Benches: []Bench{
 			{Name: "BenchmarkSchedulerSelect/MAXIT", Runs: 1000, NsPerOp: 143.1, BytesPerOp: 0, AllocsPerOp: 0},
-			{Name: CalibrationBench, Runs: 100, NsPerOp: 1000, BytesPerOp: -1, AllocsPerOp: -1},
+			{Name: "BenchmarkFarmSharded/servers=8192", Runs: 100, NsPerOp: 1000, BytesPerOp: -1, AllocsPerOp: -1},
 		},
 	}
 }
@@ -217,7 +217,7 @@ pkg: symbiosched/internal/sched
 cpu: AMD EPYC
 BenchmarkSchedulerSelect/MAXIT/depth=32-16         	 8246792	       143.1 ns/op	       0 B/op	       0 allocs/op
 BenchmarkSchedulerSelect/SRPT/depth=32-16          	  918222	      1300 ns/op	       0 B/op	       0 allocs/op
-BenchmarkCalibration-16                            	    5000	    250000 ns/op
+BenchmarkFarmSharded/servers=8192-16               	    5000	    250000 ns/op
 PASS
 ok  	symbiosched/internal/sched	3.2s
 `
@@ -234,50 +234,8 @@ ok  	symbiosched/internal/sched	3.2s
 	if bs[0].NsPerOp != 143.1 || bs[0].AllocsPerOp != 0 || bs[0].Runs != 8246792 {
 		t.Fatalf("bench 0 = %+v", bs[0])
 	}
-	if bs[2].Name != CalibrationBench || bs[2].AllocsPerOp != -1 {
+	if bs[2].Name != "BenchmarkFarmSharded/servers=8192" || bs[2].AllocsPerOp != -1 {
 		t.Fatalf("bench 2 = %+v (missing columns must read -1)", bs[2])
-	}
-}
-
-// TestGateCalibrationNormalised pins the machine-speed cancellation: a
-// current record measured on a machine 2x slower (calibration 2000 vs
-// 1000 ns) with hot-path numbers also 2x slower shows zero normalised
-// drift, while a genuine 20% regression fails the 10% gate even through
-// the speed difference.
-func TestGateCalibrationNormalised(t *testing.T) {
-	base := sampleRecord()
-	cur := sampleRecord()
-	for i := range cur.Benches {
-		cur.Benches[i].NsPerOp *= 2 // slower machine, same code
-	}
-	names := []string{"BenchmarkSchedulerSelect/MAXIT"}
-	rs, err := Gate(base, cur, names, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Failed(rs) || math.Abs(rs[0].Drift) > 1e-9 {
-		t.Fatalf("pure machine-speed change must not fail: %+v", rs)
-	}
-
-	cur.Benches[0].NsPerOp *= 1.2 // genuine 20% regression on top
-	rs, err = Gate(base, cur, names, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Failed(rs) {
-		t.Fatalf("20%% normalised regression must fail the 10%% gate: %+v", rs)
-	}
-	if math.Abs(rs[0].Drift-0.2) > 1e-9 {
-		t.Fatalf("drift = %v, want 0.2", rs[0].Drift)
-	}
-
-	// A missing pinned benchmark fails outright.
-	rs, err = Gate(base, cur, []string{"BenchmarkNoSuch"}, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Failed(rs) {
-		t.Fatal("missing pinned benchmark must fail the gate")
 	}
 }
 
@@ -356,60 +314,6 @@ func TestGetCorruptRecord(t *testing.T) {
 	}
 }
 
-// TestGateFailsCorruptTimings pins that corrupt ns/op never passes the
-// gate: a NaN timing (NaN drift), a negative one (a finite drift below
-// -100%) and 0 ns/op on both sides (0/0) each fail, with or without
-// calibration normalisation.
-func TestGateFailsCorruptTimings(t *testing.T) {
-	const name = "BenchmarkSchedulerSelect/MAXIT"
-	cases := []struct {
-		desc      string
-		base, cur float64
-	}{
-		{"NaN current", 143.1, math.NaN()},
-		{"negative current", 143.1, -5},
-		{"zero on both sides", 0, 0},
-		{"NaN baseline", math.NaN(), 143.1},
-		{"infinite current", 143.1, math.Inf(1)},
-	}
-	for _, calibrated := range []bool{true, false} {
-		for _, tc := range cases {
-			base, cur := sampleRecord(), sampleRecord()
-			if !calibrated {
-				base.Benches, cur.Benches = base.Benches[:1], cur.Benches[:1]
-			}
-			base.Benches[0].NsPerOp, cur.Benches[0].NsPerOp = tc.base, tc.cur
-			rs, err := Gate(base, cur, []string{name}, 0.10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !Failed(rs) {
-				t.Errorf("%s (calibrated %v): gate passed %+v", tc.desc, calibrated, rs)
-			}
-		}
-	}
-	// A corrupt calibration on either side fails every pinned benchmark,
-	// even one whose raw ns/op did not move: the gate cannot normalise,
-	// and raw ns/op across machines could hide a regression.
-	for _, side := range []string{"base", "cur"} {
-		for _, cal := range []float64{math.NaN(), 0, -1, math.Inf(1)} {
-			base, cur := sampleRecord(), sampleRecord()
-			rec := base
-			if side == "cur" {
-				rec = cur
-			}
-			rec.Benches[1].NsPerOp = cal
-			rs, err := Gate(base, cur, []string{name}, 0.10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !Failed(rs) {
-				t.Errorf("%s calibration %v: gate passed %+v", side, cal, rs)
-			}
-		}
-	}
-}
-
 // TestParseBenchRejectsCorruptValues pins that bench output carrying a
 // NaN, infinite or negative value is an error naming the line, not a
 // record.
@@ -455,7 +359,7 @@ func TestParseBenchRejectsCorruptValues(t *testing.T) {
 // counts (B/op and allocs/op may also read -1, the absent marker).
 func FuzzParseBench(f *testing.F) {
 	f.Add("BenchmarkSchedulerSelect/MAXIT/depth=32-16  8246792  143.1 ns/op  0 B/op  0 allocs/op\n")
-	f.Add("BenchmarkCalibration-16  5000  250000 ns/op\nPASS\n")
+	f.Add("BenchmarkFarmSharded/servers=8192-16  5000  250000 ns/op\nPASS\n")
 	f.Add("BenchmarkX-8 100 NaN ns/op\n")
 	f.Add("BenchmarkX-8 100 -5 ns/op\nBenchmarkY 1 1e400 ns/op\n")
 	f.Add("goos: linux\nBenchmarkZ-2 3 0x1p-2 ns/op 7 widgets/op\nok\n")

@@ -63,28 +63,6 @@ func BenchmarkSchedulerSelect(b *testing.B) {
 	}
 }
 
-// calibSink keeps BenchmarkCalibration's loop observable so the compiler
-// cannot elide it.
-var calibSink uint64
-
-// BenchmarkCalibration is the perf gate's machine-speed reference: a
-// fixed pure-CPU integer loop with no memory traffic, table lookups or
-// branches that data could steer. The resultdb gate divides every
-// hot-path ns/op by this benchmark's ns/op on the same machine, so a
-// baseline recorded on one machine still gates another at the intended
-// tolerance (see internal/resultdb's Gate).
-func BenchmarkCalibration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		x := uint64(i) | 1
-		for j := 0; j < 1024; j++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		calibSink += x
-	}
-}
-
 // BenchmarkSRPTWalk times SRPT's two walks, pruned and full, over
 // queues grouped by how many candidates a K=4 decision has, which is
 // what srptPruneFrom chooses by. Queues are 2 to 32 jobs deep over the

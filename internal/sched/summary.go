@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Summary is a job queue grouped by type, each type's jobs in the order
@@ -245,13 +244,10 @@ func (q *Summary) remaining(ti int, h []float64) {
 // preference (byRem false: queue order; true: shortest remaining first,
 // ties in queue order — SRPT's order), reusing all scratch.
 //
-// The grouping key (type, preference, queue position) is a total order,
-// so any sorting strategy yields the same idx. The fast path is a
-// two-pass counting scatter: scattering in queue order is already
-// (type, queue order), and SRPT's preference needs only a per-group
-// insertion sort on top. Types far beyond the queue length would inflate
-// the counting array, so such queues take the comparison-sort fallback
-// instead.
+// The grouping is a two-pass counting scatter: scattering in queue
+// order is already (type, queue order), and SRPT's preference needs only
+// a per-group insertion sort on top. The counting scratch grows with the
+// largest type; types index a table's suite, so it stays small.
 func (q *Summary) build(jobs []*Job, byRem bool) {
 	q.jobs, q.byRem, q.n = jobs, byRem, len(jobs)
 	if cap(q.idx) < len(jobs) {
@@ -281,57 +277,37 @@ func (q *Summary) build(jobs []*Job, byRem bool) {
 		}
 	}
 	q.types, q.grpOff, q.caps = q.types[:0], q.grpOff[:0], q.caps[:0]
-	if maxT < 256 || maxT < 4*len(jobs) {
-		if cap(q.tcnt) < maxT+1 {
-			q.tcnt = make([]int, maxT+1)
+	if cap(q.tcnt) < maxT+1 {
+		q.tcnt = make([]int, maxT+1)
+	}
+	tcnt := q.tcnt[:maxT+1]
+	clear(tcnt)
+	for _, t := range q.tbuf {
+		tcnt[t]++
+	}
+	// Group directory straight from the histogram, then exclusive
+	// prefix sums in place for the scatter.
+	sum := 0
+	for t, c := range tcnt {
+		if c > 0 {
+			q.types = append(q.types, t)
+			q.grpOff = append(q.grpOff, sum)
+			q.caps = append(q.caps, c)
 		}
-		tcnt := q.tcnt[:maxT+1]
-		clear(tcnt)
-		for _, t := range q.tbuf {
-			tcnt[t]++
-		}
-		// Group directory straight from the histogram, then exclusive
-		// prefix sums in place for the scatter.
-		sum := 0
-		for t, c := range tcnt {
-			if c > 0 {
-				q.types = append(q.types, t)
-				q.grpOff = append(q.grpOff, sum)
-				q.caps = append(q.caps, c)
-			}
-			tcnt[t] = sum
-			sum += c
-		}
-		q.grpOff = append(q.grpOff, len(jobs))
-		if byRem {
-			for i, t := range q.tbuf {
-				s := tcnt[t]
-				q.idx[s], q.remAt[s] = i, q.rem[i]
-				tcnt[t] = s + 1
-			}
-		} else {
-			for i, t := range q.tbuf {
-				q.idx[tcnt[t]] = i
-				tcnt[t]++
-			}
+		tcnt[t] = sum
+		sum += c
+	}
+	q.grpOff = append(q.grpOff, len(jobs))
+	if byRem {
+		for i, t := range q.tbuf {
+			s := tcnt[t]
+			q.idx[s], q.remAt[s] = i, q.rem[i]
+			tcnt[t] = s + 1
 		}
 	} else {
-		for i := range jobs {
-			q.idx[i] = i
-		}
-		sort.Sort((*idxOrder)(q))
-		for i, ji := range q.idx {
-			if byRem {
-				q.remAt[i] = q.rem[ji]
-			}
-			if t := q.tbuf[ji]; i == 0 || t != q.tbuf[q.idx[i-1]] {
-				q.types = append(q.types, t)
-				q.grpOff = append(q.grpOff, i)
-			}
-		}
-		q.grpOff = append(q.grpOff, len(q.idx))
-		for i := range q.types {
-			q.caps = append(q.caps, q.grpOff[i+1]-q.grpOff[i])
+		for i, t := range q.tbuf {
+			q.idx[tcnt[t]] = i
+			tcnt[t]++
 		}
 	}
 	if byRem {
@@ -351,23 +327,4 @@ func (q *Summary) build(jobs []*Job, byRem bool) {
 			}
 		}
 	}
-}
-
-// idxOrder sorts a built summary's idx by (type, preference, queue
-// position) for the sparse-type fallback, without a per-call closure or
-// interface allocation.
-type idxOrder Summary
-
-func (o *idxOrder) Len() int      { return len(o.idx) }
-func (o *idxOrder) Swap(a, b int) { o.idx[a], o.idx[b] = o.idx[b], o.idx[a] }
-func (o *idxOrder) Less(a, b int) bool {
-	ia, ib := o.idx[a], o.idx[b]
-	ja, jb := o.jobs[ia], o.jobs[ib]
-	if ja.Type != jb.Type {
-		return ja.Type < jb.Type
-	}
-	if o.byRem && ja.Remaining != jb.Remaining {
-		return ja.Remaining < jb.Remaining
-	}
-	return ia < ib
 }

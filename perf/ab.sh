@@ -27,35 +27,19 @@ if ! [[ $first =~ ^[0-9]+$ && $pairs =~ ^[0-9]+$ ]] || ((pairs < 1)); then
 	echo "perf/ab.sh: <first-seed> and <pairs> want non-negative integers, pairs >= 1" >&2
 	exit 2
 fi
-root=$(git rev-parse --show-toplevel)
-git -C "$root" rev-parse --verify --quiet "$parent^{commit}" >/dev/null || {
-	echo "perf/ab.sh: unknown commit $parent" >&2
-	exit 2
-}
+. "$(dirname "$0")/lib.sh"
+perf_init perf/ab.sh "$parent"
 seconds=25
-tmp=$(mktemp -d)
-echo "perf/ab.sh: raw results in $tmp" >&2
-trap 'rm -rf "$tmp/go" "$tmp/parent-src" "$tmp/parent.bin" "$tmp/change.bin"' EXIT
-
-# build <source dir> <binary>: the build environment of perfbench/run.sh,
-# with caches under the temporary directory.
-build() {
-	mkdir -p "$tmp/go/tmp" "$tmp/go/config"
-	GOCACHE="$tmp/go/cache" GOPATH="$tmp/go/path" GOTMPDIR="$tmp/go/tmp" \
-		XDG_CONFIG_HOME="$tmp/go/config" GOTOOLCHAIN=local GOPROXY=off GOWORK=off \
-		go -C "$1/perfbench" build -o "$2" .
-}
-mkdir -p "$tmp/parent-src"
-git -C "$root" archive "$parent" | tar -x -C "$tmp/parent-src"
-build "$tmp/parent-src" "$tmp/parent.bin"
-build "$root" "$tmp/change.bin"
+perf_export "$parent"
+perf_go -C "$tmp/parent-src/perfbench" build -o "$tmp/bin/parent" .
+perf_go -C "$root/perfbench" build -o "$tmp/bin/change" .
 
 # run <side> <seed>: one timed run; its last output line is the result.
 run() {
 	local line
 	# A run that fails its checks exits non-zero but still prints its
 	# result line, which the table counts.
-	line=$("$tmp/$1.bin" --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1) || true
+	line=$("$tmp/bin/$1" --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1) || true
 	if [[ $line != "{"* ]]; then
 		echo "perf/ab.sh: $1 run at seed $2 printed no result" >&2
 		exit 1
