@@ -14,7 +14,9 @@
 //	        [-parallel N] [-cache dir] [-csv dir] [-progress]
 //
 // A dispatcher or load listed twice in -dispatchers or -loads is a usage
-// error (exit 2); a bare "pd" counts as the pd<d> it expands to.
+// error (exit 2); a bare "pd" counts as the pd<d> it expands to. So is
+// an unknown -sched, -estimator or -dispatchers name, reported before any
+// performance table is built.
 //
 // -estimator replaces the oracle performance table with an online learner
 // (sampler or pairwise, see internal/online): schedulers and the li
@@ -76,6 +78,7 @@ import (
 	"symbiosched/internal/fault"
 	"symbiosched/internal/online"
 	"symbiosched/internal/profiling"
+	"symbiosched/internal/sched"
 )
 
 func main() {
@@ -163,6 +166,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	if err := fcfg.Validate(); err != nil {
 		fmt.Fprintf(stderr, "farmsim: %v\n", err)
 		return 2
+	}
+	// Unknown names are usage errors too, caught before any table is built.
+	if !slices.Contains(sched.Names, *schedName) {
+		fmt.Fprintf(stderr, "farmsim: -sched %q is not one of %s\n", *schedName, strings.Join(sched.Names, ", "))
+		return 2
+	}
+	if !slices.Contains(online.Names, *estimator) {
+		fmt.Fprintf(stderr, "farmsim: -estimator %q is not one of %s\n", *estimator, strings.Join(online.Names, ", "))
+		return 2
+	}
+	for _, name := range dispList {
+		if _, err := farm.NewDispatcher(name); err != nil {
+			fmt.Fprintf(stderr, "farmsim: -dispatchers: %v\n", err)
+			return 2
+		}
 	}
 
 	cfg := exp.DefaultConfig()

@@ -95,8 +95,8 @@ func TestRunOnlineEstimator(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
-	if code := run(context.Background(), []string{"-estimator", "psychic", "-jobs", "300", "-reps", "1", "-loads", "0.5"}, &out, &errb); code != 1 {
-		t.Errorf("unknown estimator: run = %d, want 1", code)
+	if code := run(context.Background(), []string{"-estimator", "psychic", "-jobs", "300", "-reps", "1", "-loads", "0.5"}, &out, &errb); code != 2 {
+		t.Errorf("unknown estimator: run = %d, want 2", code)
 	}
 }
 
@@ -246,15 +246,23 @@ func TestRunErrors(t *testing.T) {
 	if code := run(context.Background(), []string{"-bogus"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag: run = %d, want 2", code)
 	}
-	if code := run(context.Background(), []string{"-jobs", "300", "-reps", "1", "-loads", "0.5", "-sched", "NOPE"}, &out, &errb); code != 1 {
-		t.Errorf("unknown scheduler: run = %d, want 1", code)
+	// Unknown scheduler, estimator and dispatcher names are usage errors,
+	// rejected before any table is built.
+	if code := run(context.Background(), []string{"-jobs", "300", "-reps", "1", "-loads", "0.5", "-sched", "NOPE"}, &out, &errb); code != 2 {
+		t.Errorf("unknown scheduler: run = %d, want 2", code)
 	}
-	// Dispatcher names are checked with the scheduler and estimator
-	// names, before any simulation: the error names no grid cell.
+	errb.Reset()
+	if code := run(context.Background(), []string{"-jobs", "300", "-reps", "1", "-loads", "0.5", "-estimator", "bogus"}, &out, &errb); code != 2 {
+		t.Errorf("unknown estimator: run = %d, want 2", code)
+	}
+	if msg := errb.String(); !strings.Contains(msg, "bogus") {
+		t.Errorf("unknown estimator: want an error naming it, got %q", msg)
+	}
+	// The dispatcher error names no grid cell.
 	for _, name := range []string{"bogus", "pd0"} {
 		errb.Reset()
-		if code := run(context.Background(), []string{"-servers", "2", "-jobs", "300", "-reps", "1", "-loads", "0.5", "-dispatchers", name}, &out, &errb); code != 1 {
-			t.Errorf("dispatcher %s: run = %d, want 1", name, code)
+		if code := run(context.Background(), []string{"-servers", "2", "-jobs", "300", "-reps", "1", "-loads", "0.5", "-dispatchers", name}, &out, &errb); code != 2 {
+			t.Errorf("dispatcher %s: run = %d, want 2", name, code)
 		}
 		if msg := errb.String(); !strings.Contains(msg, name) || strings.Contains(msg, "dispatcher="+name) || strings.Contains(msg, "load=") {
 			t.Errorf("dispatcher %s: want an error naming it without a cell prefix, got %q", name, msg)

@@ -22,9 +22,9 @@ func TestServerAdvanceZeroAllocs(t *testing.T) {
 	if err := sv.Reschedule(); err != nil {
 		t.Fatal(err)
 	}
-	sv.Advance(0.25) // grow scratch once
+	sv.Advance(0.25, nil) // grow scratch once
 	allocs := testing.AllocsPerRun(200, func() {
-		sv.Advance(0.25)
+		sv.Advance(0.25, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("Server.Advance allocates %v times per call, want 0", allocs)

@@ -28,13 +28,15 @@ func BenchmarkServerReschedule(b *testing.B) {
 				sv := NewServer(tb, s)
 				stream := NewJobStream(w4(), LatencyConfig{SizeShape: 4, Seed: 7})
 				now := 0.0
+				var done []*sched.Job
 				event := func(i int) {
 					dt := sv.TimeToNextCompletion()
 					if i%2 == 1 {
 						dt /= 2
 					}
 					now += dt
-					for _, j := range sv.Advance(dt) {
+					done = sv.Advance(dt, done[:0])
+					for _, j := range done {
 						stream.Recycle(j)
 					}
 					for i%2 == 1 && sv.JobsInSystem() < depth {

@@ -270,6 +270,7 @@ func run(t *perfdb.Table, w workload.Workload, s sched.Scheduler, obs online.Int
 
 	var turnaround numeric.KahanSum
 	completed, counted := 0, 0
+	var done []*sched.Job
 
 	for completed < cfg.Jobs {
 		if sv.JobsInSystem() == 0 {
@@ -277,7 +278,7 @@ func run(t *perfdb.Table, w workload.Workload, s sched.Scheduler, obs online.Int
 				break // drained
 			}
 			// Idle until the next arrival.
-			sv.Advance(nextArrival - now)
+			sv.Advance(nextArrival-now, nil)
 			now = nextArrival
 			sv.Add(jobs.Next(now))
 			arrivalsLeft--
@@ -298,7 +299,8 @@ func run(t *perfdb.Table, w workload.Workload, s sched.Scheduler, obs online.Int
 			dt = 0
 		}
 		now += dt
-		for _, j := range sv.Advance(dt) {
+		done = sv.Advance(dt, done[:0])
+		for _, j := range done {
 			completed++
 			if completed > cfg.Warmup {
 				turnaround.Add(now - j.Arrival)

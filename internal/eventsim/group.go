@@ -32,22 +32,22 @@ type Completion struct {
 // independent of how the caller slices time into advance horizons. The
 // farm engine (internal/farm.SimulateSharded) drives one Group over its
 // whole fleet.
+//
+// The group steps the fleet slab itself, and each server keeps its own
+// local clock, so an event reads the popped server's memory and the
+// heap's, and nothing indexed by server elsewhere.
 type Group struct {
-	servers []*Server
-	clock   []float64    // per-server local clock (absolute simulated time)
+	servers []Server
 	h       *TimeHeap    // absolute next-completion time per server
+	done    []*sched.Job // the popped server's completions, or a crash's victims
 	buf     []Completion // the point events' completions, at most K
 }
 
-// NewGroup returns a group over the given (freshly built, empty) servers.
-// The group owns their stepping; the caller must not Advance them
-// directly.
-func NewGroup(servers []*Server) *Group {
-	return &Group{
-		servers: servers,
-		clock:   make([]float64, len(servers)),
-		h:       NewTimeHeap(len(servers)),
-	}
+// NewGroup returns a group over the given (freshly built, empty) servers,
+// the slab NewServers returns. The group owns their stepping; the caller
+// must not Advance them directly.
+func NewGroup(servers []Server) *Group {
+	return &Group{servers: servers, h: NewTimeHeap(len(servers))}
 }
 
 // NextEvent returns the absolute time of the group's earliest pending
@@ -85,15 +85,9 @@ func (g *Group) AdvanceTo(horizon float64, emit func(Completion)) error {
 			return nil
 		}
 		i := g.h.MinIndex()
-		sv := g.servers[i]
-		dt := t - g.clock[i]
-		if dt < 0 {
-			dt = 0
-		}
-		done := sv.Advance(dt)
-		g.clock[i] = t
+		done := g.advanceAt(i, t)
 		if len(done) > 0 {
-			if err := sv.Reschedule(); err != nil {
+			if err := g.servers[i].Reschedule(); err != nil {
 				return err
 			}
 		}
@@ -108,17 +102,17 @@ func (g *Group) AdvanceTo(horizon float64, emit func(Completion)) error {
 // (Settle/Deliver/Fail/Repair/SettleTo): bring server i's local clock to
 // absolute time t and return the jobs that finished on the way — all at
 // t itself, within the completion epsilon, exactly as a lockstep advance
-// would complete them. The caller applies its event and refreshes the
-// heap afterwards.
+// would complete them — in the group's scratch. The caller applies its
+// event and refreshes the heap afterwards.
 func (g *Group) advanceAt(i int, t float64) []*sched.Job {
-	sv := g.servers[i]
-	dt := t - g.clock[i]
+	sv := &g.servers[i]
+	dt := t - sv.clock
 	if dt < 0 {
 		dt = 0
 	}
-	done := sv.Advance(dt)
-	g.clock[i] = t
-	return done
+	g.done = sv.Advance(dt, g.done[:0])
+	sv.clock = t
+	return g.done
 }
 
 // completeAt is advanceAt recording the finished jobs as completions at
@@ -164,7 +158,7 @@ func (g *Group) Deliver(t float64, i int, j *sched.Job) ([]Completion, error) {
 		return nil, fmt.Errorf("eventsim: deliver to server %d of %d", i, len(g.servers))
 	}
 	done := g.completeAt(i, t)
-	sv := g.servers[i]
+	sv := &g.servers[i]
 	sv.Add(j)
 	if err := sv.Reschedule(); err != nil {
 		return nil, err
@@ -177,18 +171,17 @@ func (g *Group) Deliver(t float64, i int, j *sched.Job) ([]Completion, error) {
 // advanced to t (a job finishing within the completion epsilon at the
 // crash instant completes normally, exactly as Deliver would complete
 // it), then evicted and taken out of service. The completions and the
-// evicted victims are returned; both share scratch buffers (the
-// group's and the server's) and must be consumed before the next call
-// into this group. The caller must have processed all group events up
-// to t first (AdvanceTo(t)).
+// evicted victims are returned; both are the group's scratch and must
+// be consumed before the next call into this group. The caller must
+// have processed all group events up to t first (AdvanceTo(t)).
 func (g *Group) Fail(t float64, i int) ([]Completion, []*sched.Job, error) {
 	if i < 0 || i >= len(g.servers) {
 		return nil, nil, fmt.Errorf("eventsim: fail server %d of %d", i, len(g.servers))
 	}
 	done := g.completeAt(i, t)
-	victims := g.servers[i].Fail()
+	g.done = g.servers[i].Fail(g.done[:0])
 	g.refresh(i, t) // time-to-completion is now +Inf: leaves the heap
-	return done, victims, nil
+	return done, g.done, nil
 }
 
 // Repair returns server i to service at absolute time t, closing its
@@ -211,7 +204,7 @@ func (g *Group) Repair(t float64, i int) error {
 // counterpart of AdvanceTo and must not cross any pending completion.
 func (g *Group) SettleTo(t float64) error {
 	for i := range g.servers {
-		if t-g.clock[i] <= 0 {
+		if t-g.servers[i].clock <= 0 {
 			continue
 		}
 		if done := g.advanceAt(i, t); len(done) > 0 {

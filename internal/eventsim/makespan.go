@@ -70,6 +70,7 @@ func Makespan(t *perfdb.Table, w workload.Workload, s sched.Scheduler, cfg Makes
 	}
 
 	var now, turnaround, idleTail float64
+	var done []*sched.Job
 	for sv.JobsInSystem() > 0 {
 		if err := sv.Reschedule(); err != nil {
 			return nil, err
@@ -77,7 +78,8 @@ func Makespan(t *perfdb.Table, w workload.Workload, s sched.Scheduler, cfg Makes
 		dt := sv.TimeToNextCompletion()
 		now += dt
 		idleTail += float64(k-len(sv.Running())) * dt
-		for range sv.Advance(dt) {
+		done = sv.Advance(dt, done[:0])
+		for range done {
 			turnaround += now
 		}
 	}

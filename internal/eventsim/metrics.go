@@ -61,4 +61,7 @@ func (sm *ServerMetrics) advance(jobs, running int, dt float64) {
 // SetMetrics installs (or, with nil, removes) the server's instrument
 // set. Call it before the run starts; the instruments only observe and
 // never feed back into decisions.
-func (sv *Server) SetMetrics(m *ServerMetrics) { sv.met = m }
+func (sv *Server) SetMetrics(m *ServerMetrics) {
+	sv.met = m
+	sv.setHooks()
+}

@@ -40,13 +40,13 @@ func TestServerObservationHook(t *testing.T) {
 	rec := &recordingObserver{}
 	sv := NewServer(tb, &sched.FCFS{})
 	sv.SetObserver(rec)
-	sv.Advance(1) // idle: no observation
+	sv.Advance(1, nil) // idle: no observation
 	sv.Add(&sched.Job{ID: 0, Type: 0, Size: 2, Remaining: 2})
 	sv.Add(&sched.Job{ID: 1, Type: 1, Size: 2, Remaining: 2})
 	if err := sv.Reschedule(); err != nil {
 		t.Fatal(err)
 	}
-	sv.Advance(0.5)
+	sv.Advance(0.5, nil)
 	if len(rec.cos) != 1 {
 		t.Fatalf("observer got %d intervals, want 1 (idle advance must not report)", len(rec.cos))
 	}
@@ -86,7 +86,7 @@ func TestServerStepping(t *testing.T) {
 	if dt := sv.TimeToNextCompletion(); !math.IsInf(dt, 1) {
 		t.Errorf("idle TimeToNextCompletion = %v, want +Inf", dt)
 	}
-	sv.Advance(2.5)
+	sv.Advance(2.5, nil)
 	if sv.EmptyTime() != 2.5 || sv.BusyTime() != 0 {
 		t.Errorf("idle advance: empty %v busy %v", sv.EmptyTime(), sv.BusyTime())
 	}
@@ -102,7 +102,7 @@ func TestServerStepping(t *testing.T) {
 	if math.Abs(dt-2) > 1e-9 {
 		t.Errorf("solo TimeToNextCompletion = %v, want 2 (WIPC 1)", dt)
 	}
-	done := sv.Advance(dt)
+	done := sv.Advance(dt, nil)
 	if len(done) != 1 || done[0].ID != 0 {
 		t.Fatalf("Advance completed %v, want job 0", done)
 	}
@@ -119,6 +119,21 @@ func TestServerRescheduleRejectsBadScheduler(t *testing.T) {
 	sv.Add(&sched.Job{ID: 0, Type: 0, Size: 1, Remaining: 1})
 	if err := sv.Reschedule(); err == nil {
 		t.Error("empty selection accepted")
+	}
+}
+
+// TestServerRescheduleRejectsUnknownType pins that a job whose type lies
+// outside the table's suite is an error when it would start running,
+// not a silent probe of another coschedule's rank.
+func TestServerRescheduleRejectsUnknownType(t *testing.T) {
+	tb := table(t)
+	for _, typ := range []int{-1, len(tb.Suite())} {
+		sv := NewServer(tb, &sched.FCFS{})
+		sv.Add(&sched.Job{ID: 0, Type: 0, Size: 1, Remaining: 1})
+		sv.Add(&sched.Job{ID: 1, Type: typ, Size: 1, Remaining: 1})
+		if err := sv.Reschedule(); err == nil {
+			t.Errorf("type %d accepted", typ)
+		}
 	}
 }
 
@@ -199,7 +214,7 @@ func TestMarginalInstTPMatchesTwoProbe(t *testing.T) {
 				t.Fatal(err)
 			}
 			if st.stale {
-				if done := sv.Advance(sv.TimeToNextCompletion()); len(done) != 1 || sv.JobsInSystem() != 1 {
+				if done := sv.Advance(sv.TimeToNextCompletion(), nil); len(done) != 1 || sv.JobsInSystem() != 1 {
 					t.Fatalf("stale setup: %d done, %d left", len(done), sv.JobsInSystem())
 				}
 			}
@@ -233,9 +248,9 @@ func panics(f func()) (did bool) {
 }
 
 // TestNewServersSlabIsolation pins the fleet slab's carving: servers
-// share their backing arrays, so a queue outgrowing its 2K share, or a
-// crash evicting more than K victims, must move into memory of its own
-// and never write into a neighbour's share.
+// share the queue slab, so a queue outgrowing its 2K share must move
+// into memory of its own and never write into a neighbour's share, and
+// a crash evicting more than 2K victims hands them all back.
 func TestNewServersSlabIsolation(t *testing.T) {
 	k1 := perfdb.Build(perfdb.UniformModel{K: 1}, program.Suite()[:1])
 	fleet := NewServers([]*perfdb.Table{k1, k1, k1}, []sched.Scheduler{&sched.FCFS{}, &sched.FCFS{}, &sched.FCFS{}})
@@ -264,13 +279,13 @@ func TestNewServersSlabIsolation(t *testing.T) {
 	if got := ids(right.jobs); !slices.Equal(got, []int{1}) {
 		t.Fatalf("right queue %v after the middle queue grew, want [1]", got)
 	}
-	victims := mid.Fail()
+	victims := mid.Fail(nil)
 	if got := ids(victims); !slices.Equal(got, []int{2, 3, 4, 5, 6}) {
 		t.Fatalf("Fail evicted %v, want [2 3 4 5 6]", got)
 	}
-	// The neighbours' completions land in their own scratch.
+	// The neighbours complete into buffers of their own.
 	for _, sv := range []*Server{left, right} {
-		if done := sv.Advance(sv.TimeToNextCompletion()); len(done) != 1 {
+		if done := sv.Advance(sv.TimeToNextCompletion(), nil); len(done) != 1 {
 			t.Fatalf("neighbour completed %d jobs, want 1", len(done))
 		}
 	}
@@ -293,20 +308,20 @@ func TestOnlyRunningJobsComplete(t *testing.T) {
 	if err := sv.Reschedule(); err != nil {
 		t.Fatal(err)
 	}
-	if done := sv.Advance(0.25); len(done) != 0 {
+	if done := sv.Advance(0.25, nil); len(done) != 0 {
 		t.Fatalf("Advance(0.25) completed %d jobs, want none (the tiny job is waiting)", len(done))
 	}
 	if sv.JobsInSystem() != 2 || sv.WorkDone() != 0.25 || tiny.Remaining != 1e-12 {
 		t.Fatalf("after Advance(0.25): %d jobs, work %v, tiny job left %v; want 2, 0.25, 1e-12",
 			sv.JobsInSystem(), sv.WorkDone(), tiny.Remaining)
 	}
-	if done := sv.Advance(sv.TimeToNextCompletion()); len(done) != 1 || done[0] != unit {
+	if done := sv.Advance(sv.TimeToNextCompletion(), nil); len(done) != 1 || done[0] != unit {
 		t.Fatalf("the unit job's completion returned %v", done)
 	}
 	if err := sv.Reschedule(); err != nil {
 		t.Fatal(err)
 	}
-	if done := sv.Advance(sv.TimeToNextCompletion()); len(done) != 1 || done[0] != tiny {
+	if done := sv.Advance(sv.TimeToNextCompletion(), nil); len(done) != 1 || done[0] != tiny {
 		t.Fatalf("the tiny job's completion returned %v", done)
 	}
 	if sv.JobsInSystem() != 0 {

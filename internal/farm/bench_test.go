@@ -88,31 +88,47 @@ func BenchmarkFarmFaultOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkFarmSharded measures the engine on a fleet too large for
-// BenchmarkFarmScaling's sizes: one event heap over 8192 servers under
-// round-robin dispatch, so the per-event cost is the O(log n) lazy
-// per-server advance. Output is pinned across iterations.
+// BenchmarkFarmSharded measures the engine, one event heap over the
+// fleet, on fleets too large for BenchmarkFarmScaling's sizes. At 8192
+// servers under round-robin dispatch the per-event cost is the O(log n)
+// lazy per-server advance over a fleet that stays close to cache. At
+// 65,536 FCFS servers under pd2 dispatch with two jobs per server —
+// megafarm's regime — nearly every event lands on a server out of
+// cache, so a layout that costs an event more cache lines, or a pointer
+// chase, shows there. Output is pinned across iterations.
 func BenchmarkFarmSharded(b *testing.B) {
 	tab := smtTable(b)
-	const n = 8192
-	specs := fleet(n, fcfsSpec(tab))
-	cfg := Config{Lambda: 1.5 * float64(n), Jobs: 4000, SizeShape: 4, Seed: 1}
-	b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
-		var pin string
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := SimulateSharded(specs, &RoundRobin{}, w4(), cfg, ShardConfig{})
-			if err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name       string
+		n, jobs    int
+		dispatcher string
+	}{
+		{"servers=8192", 8192, 4000, "rr"},
+		{"servers=65536/pd2", 65536, 2 * 65536, "pd2"},
+	} {
+		specs := fleet(bc.n, fcfsSpec(tab))
+		cfg := Config{Lambda: 1.5 * float64(bc.n), Jobs: bc.jobs, SizeShape: 4, Seed: 1}
+		b.Run(bc.name, func(b *testing.B) {
+			var pin string
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := NewDispatcher(bc.dispatcher)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := SimulateSharded(specs, d, w4(), cfg, ShardConfig{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				fp := fmt.Sprintf("%v/%v/%v/%v",
+					res.MeanTurnaround, res.P99Turnaround, res.Throughput, res.Utilisation)
+				if pin == "" {
+					pin = fp
+				} else if fp != pin {
+					b.Fatalf("output drifted across iterations:\n%s\nvs\n%s", pin, fp)
+				}
 			}
-			fp := fmt.Sprintf("%v/%v/%v/%v",
-				res.MeanTurnaround, res.P99Turnaround, res.Throughput, res.Utilisation)
-			if pin == "" {
-				pin = fp
-			} else if fp != pin {
-				b.Fatalf("output drifted across iterations:\n%s\nvs\n%s", pin, fp)
-			}
-		}
-	})
+		})
+	}
 }

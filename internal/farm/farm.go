@@ -257,11 +257,11 @@ func validate(specs []ServerSpec, w workload.Workload, cfg Config) error {
 }
 
 // buildServers constructs one fresh server per spec — scheduler,
-// estimator wiring and all — and returns them with the indices of the
-// servers that learn their rates online (ascending) and the farm's total
-// context count. The fleet is one eventsim.NewServers slab; the returned
-// pointers index into it.
-func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]*eventsim.Server, []int, int, error) {
+// estimator wiring and all — and returns the fleet, one
+// eventsim.NewServers slab, with pointers into it for the dispatchers,
+// the indices of the servers that learn their rates online (ascending)
+// and the farm's total context count.
+func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]eventsim.Server, []*eventsim.Server, []int, int, error) {
 	tables := make([]*perfdb.Table, len(specs))
 	scheds := make([]sched.Scheduler, len(specs))
 	var learned []int           // indices of the servers that learn
@@ -269,11 +269,11 @@ func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]*event
 	totalContexts := 0
 	for i, sp := range specs {
 		if sp.Table == nil || sp.Sched == nil {
-			return nil, nil, 0, fmt.Errorf("farm: server %d has no table or scheduler", i)
+			return nil, nil, nil, 0, fmt.Errorf("farm: server %d has no table or scheduler", i)
 		}
 		for _, b := range w {
 			if b < 0 || b >= len(sp.Table.Suite()) {
-				return nil, nil, 0, fmt.Errorf("farm: job type %d outside server %d's %d-benchmark table", b, i, len(sp.Table.Suite()))
+				return nil, nil, nil, 0, fmt.Errorf("farm: job type %d outside server %d's %d-benchmark table", b, i, len(sp.Table.Suite()))
 			}
 		}
 		rs := online.RateSource(sp.Table)
@@ -282,13 +282,13 @@ func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]*event
 			// so (replication, server) pairs learn on independent streams.
 			est, err := sp.Estimator(cfg.Seed + uint64(i+1)*0x9e3779b97f4a7c15)
 			if err != nil {
-				return nil, nil, 0, fmt.Errorf("farm: server %d estimator: %w", i, err)
+				return nil, nil, nil, 0, fmt.Errorf("farm: server %d estimator: %w", i, err)
 			}
 			learned, ests, rs = append(learned, i), append(ests, est), est
 		}
 		s, err := sp.Sched(rs)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("farm: server %d scheduler: %w", i, err)
+			return nil, nil, nil, 0, fmt.Errorf("farm: server %d scheduler: %w", i, err)
 		}
 		tables[i], scheds[i] = sp.Table, s
 		totalContexts += sp.Table.K()
@@ -302,7 +302,7 @@ func buildServers(specs []ServerSpec, w workload.Workload, cfg Config) ([]*event
 		servers[i].SetRates(ests[k])
 		servers[i].SetObserver(ests[k])
 	}
-	return servers, learned, totalContexts, nil
+	return fleet, servers, learned, totalContexts, nil
 }
 
 // assembleResult folds the per-server integrals and the turnaround

@@ -27,7 +27,7 @@ func simulateSerial(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg C
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	servers, _, totalContexts, err := buildServers(specs, w, cfg)
+	_, servers, _, totalContexts, err := buildServers(specs, w, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +115,7 @@ func simulateSerial(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg C
 		}
 		now += dt
 		for i, sv := range servers {
-			done := sv.Advance(dt)
+			done := sv.Advance(dt, nil)
 			for _, j := range done {
 				completed++
 				goodput.Add(j.Size)
@@ -145,7 +145,7 @@ func simulateSerial(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg C
 			fe := fr.inj.Pop()
 			sv := servers[fe.Server]
 			if fe.Down {
-				victims := sv.Fail()
+				victims := sv.Fail(nil)
 				h.Update(fe.Server, sv.TimeToNextCompletion())
 				// Backoffs stamp off the injector's absolute event time, as
 				// the engine's do, so retry due times match it exactly.

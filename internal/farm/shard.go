@@ -49,7 +49,7 @@ func SimulateSharded(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg 
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	servers, learned, totalContexts, err := buildServers(specs, w, cfg)
+	fleet, servers, learned, totalContexts, err := buildServers(specs, w, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +57,7 @@ func SimulateSharded(specs []ServerSpec, d Dispatcher, w workload.Workload, cfg 
 	if cfg.Metrics {
 		rm = newRunMetrics(servers)
 	}
-	g := eventsim.NewGroup(servers)
+	g := eventsim.NewGroup(fleet)
 
 	// Three independent streams, so every dispatcher sees the same
 	// arrival process: arrivals (as eventsim.Latency), job types/sizes

@@ -67,8 +67,8 @@ var _ RateSource = (*perfdb.Table)(nil)
 // EpochBumper is the optional capability of rate sources whose Epoch
 // can be force-advanced without an observation. The farm bumps a
 // repaired server's source so every epoch-gated decision cache — the
-// MAXIT decision memo and the enumerator's dense-rate cache — drops
-// whatever it memoized before the outage: a learner's estimates
+// MAXIT decision memo — drops whatever it memoized before the outage:
+// a learner's estimates
 // may have gone stale relative to the reality the server returns to.
 // Static sources (the oracle table and its wrapper) deliberately do not
 // implement it — their rates cannot go stale, so their memos stay sound

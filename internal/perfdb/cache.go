@@ -177,14 +177,11 @@ func (t *Table) toGob() tableGob {
 
 // sortedEntries returns the entries ordered by coschedule key.
 func (t *Table) sortedEntries() []entryGob {
-	keys := make([]uint64, 0, len(t.entries))
-	for k := range t.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]entryGob, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, toEntryGob(t.entries[k]))
+	es := slices.Clone(t.byRank[1:])
+	sort.Slice(es, func(i, j int) bool { return Key(es[i].Cos) < Key(es[j].Cos) })
+	out := make([]entryGob, 0, len(es))
+	for _, e := range es {
+		out = append(out, toEntryGob(e))
 	}
 	return out
 }
@@ -217,15 +214,9 @@ func read(r io.Reader) (*Table, error) {
 	if err := g.check(); err != nil {
 		return nil, err
 	}
-	t := &Table{
-		name:    g.Name,
-		k:       g.K,
-		suite:   g.Suite,
-		Solo:    g.Solo,
-		entries: make(map[uint64]*Entry, len(g.Entries)),
-	}
+	t := newTable(g.Name, g.K, g.Suite, g.Solo)
 	for _, eg := range g.Entries {
-		t.entries[Key(eg.Cos)] = eg.entry(len(g.Suite))
+		t.byRank[t.Rank(eg.Cos)] = eg.entry(len(g.Suite))
 	}
 	t.recomputeMaxWIPC()
 	t.deriveRows()

@@ -49,7 +49,7 @@ func TestBuildDeterministicAcrossParallelism(t *testing.T) {
 		if !reflect.DeepEqual(ref.Solo, tab.Solo) {
 			t.Fatalf("p=%d: solo rates differ: %v vs %v", p, ref.Solo, tab.Solo)
 		}
-		if !reflect.DeepEqual(ref.entries, tab.entries) {
+		if !reflect.DeepEqual(ref.byRank, tab.byRank) {
 			t.Fatalf("p=%d: entries differ from sequential build", p)
 		}
 		if !bytes.Equal(refBytes, gobBytes(t, tab)) {
@@ -78,7 +78,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Solo, tab.Solo) {
 		t.Fatal("solo rates differ after round trip")
 	}
-	if !reflect.DeepEqual(got.entries, tab.entries) {
+	if !reflect.DeepEqual(got.byRank, tab.byRank) {
 		t.Fatal("entries differ after round trip")
 	}
 	// Bit-identical re-serialisation: Save(Load(Save(t))) == Save(t).
@@ -107,7 +107,7 @@ func TestLoadOrBuild(t *testing.T) {
 	if !hit {
 		t.Fatal("second call missed the cache")
 	}
-	if !reflect.DeepEqual(built.entries, cached.entries) {
+	if !reflect.DeepEqual(built.byRank, cached.byRank) {
 		t.Fatal("cached table differs from built table")
 	}
 
@@ -248,7 +248,7 @@ func TestLoadRejectsInvalidTable(t *testing.T) {
 			t.Errorf("%s: LoadOrBuild = (hit %v, err %v), want a rebuilt miss", c.name, hit, err)
 			continue
 		}
-		if !reflect.DeepEqual(tab.entries, testTable(t).entries) {
+		if !reflect.DeepEqual(tab.byRank, testTable(t).byRank) {
 			t.Errorf("%s: rebuilt table differs from a fresh build", c.name)
 		}
 	}

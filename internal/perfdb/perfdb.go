@@ -113,7 +113,7 @@ type Entry struct {
 }
 
 // TypeWIPCs returns the entry's per-type WIPCs as a dense suite-indexed
-// slice (0 for absent types): one map probe for the entry resolves every
+// slice (0 for absent types): one index for the entry resolves every
 // type's rate. Callers must not mutate it, and may retain it only while
 // the table's Epoch stands (overrides are build-time edits, so within a
 // run that is forever).
@@ -134,8 +134,12 @@ type Table struct {
 	suite []program.Profile
 	// Solo[b] is the solo IPC of benchmark b on this machine (the WIPC
 	// reference).
-	Solo    []float64
-	entries map[uint64]*Entry
+	Solo []float64
+	// byRank[r] is the entry of the multiset of rank r (Rank); index 0,
+	// the empty multiset, is nil. steps[i*len(suite)+b] is what a type-b
+	// job at sorted position i adds to a rank (RankAppend).
+	byRank []*Entry
+	steps  []int
 	// maxWIPCBySize[s-1][b] is the maximum WIPC a type-b job attains over
 	// every stored s-slot coschedule — the admissible per-slot rate bound
 	// MaxJobWIPC serves. The size axis matters: WIPC is normalized, so the
@@ -150,32 +154,87 @@ type Table struct {
 	idle []float64
 }
 
-// Key encodes a canonical coschedule (len <= 8, types < 256) as a uint64.
+// Key encodes a canonical coschedule (len <= 8, types < 256) as a uint64,
+// one byte per slot behind a leading 1 that tells lengths apart: a packed
+// identity for maps outside the table (learners, MAXTP's fractions, the
+// cache's file order). The table indexes its entries by Rank instead.
 func Key(c workload.Coschedule) uint64 {
 	if len(c) > 8 {
 		panic("perfdb: coschedule longer than 8")
 	}
-	k := EmptyKey
+	k := uint64(1)
 	for _, t := range c {
 		if t < 0 || t > 255 {
 			panic(fmt.Sprintf("perfdb: type %d out of key range", t))
 		}
-		k = KeyAppend(k, t)
+		k = k<<8 | uint64(t+1)
 	}
 	return k
 }
 
-// EmptyKey is Key of the empty coschedule — the fold's starting value
-// (a leading 1 distinguishes lengths).
-const EmptyKey uint64 = 1
+// newTable returns a table with no entries yet, its rank index sized
+// for every multiset of 0..k types over suite.
+func newTable(name string, k int, suite []program.Profile, solo []float64) *Table {
+	n := len(suite)
+	t := &Table{name: name, k: k, suite: suite, Solo: solo, steps: make([]int, k*n)}
+	// A sorted multiset c of s types maps to the s-subset {c[i] + i} of
+	// n+s-1 items, whose colexicographic rank is sum_i C(c[i]+i, i+1);
+	// sum_i C(n+i-1, i) counts the multisets of fewer than s types.
+	size := 1
+	for i := 0; i < k; i++ {
+		below := binom(n+i-1, i)
+		for b := 0; b < n; b++ {
+			t.steps[i*n+b] = binom(b+i, i+1) + below
+		}
+		size += binom(n+i, i+1)
+	}
+	t.byRank = make([]*Entry, size)
+	return t
+}
 
-// KeyAppend folds one more type into a key built left to right over a
-// canonical (sorted) coschedule: KeyAppend(Key(c), t) == Key(append(c, t))
-// for t >= the last type of c. Hot paths that build coschedules
-// incrementally use it to keep a running key instead of re-deriving the
-// key per probe; unlike Key it performs no bounds checks, so callers
-// outside the table's validated universe must check types themselves.
-func KeyAppend(k uint64, t int) uint64 { return k<<8 | uint64(t+1) }
+// binom returns the binomial coefficient C(n, r), 0 when r > n.
+func binom(n, r int) int {
+	if r < 0 || r > n {
+		return 0
+	}
+	c := 1
+	for i := 1; i <= r; i++ {
+		c = c * (n - r + i) / i
+	}
+	return c
+}
+
+// Rank returns the dense index of a canonical (sorted) coschedule of
+// 1..K types over the suite: the combinatorial number system's rank
+// of the multiset, offset by the number of smaller multisets, so every
+// coschedule the table stores has its own index in 1..Size(). It
+// panics on any other coschedule.
+func (t *Table) Rank(c workload.Coschedule) int {
+	if len(c) == 0 || len(c) > t.k {
+		panic(fmt.Sprintf("perfdb: unknown coschedule %v", c))
+	}
+	r := 0
+	for i, b := range c {
+		if b < 0 || b >= len(t.suite) || i > 0 && c[i-1] > b {
+			panic(fmt.Sprintf("perfdb: unknown coschedule %v", c))
+		}
+		r = t.RankAppend(r, i, b)
+	}
+	return r
+}
+
+// RankAppend folds one more type into a rank built left to right over
+// a canonical coschedule: RankAppend(Rank(c), len(c), b) ==
+// Rank(append(c, b)) for b >= the last type of c, starting from 0 for
+// the empty coschedule. Hot paths that build coschedules slot by slot
+// keep a running rank with it. Unlike Rank it checks nothing: the
+// position must be below K, the type inside the suite, and the types
+// folded in ascending order.
+func (t *Table) RankAppend(r, i, b int) int { return r + t.steps[i*len(t.suite)+b] }
+
+// EntryByRank is Entry indexed by Rank(c): one slice index, the route
+// hot paths take when they fold the rank themselves.
+func (t *Table) EntryByRank(r int) *Entry { return t.byRank[r] }
 
 // Build runs the model over every coschedule of size 1..K over the suite
 // and returns the populated table. Work is spread over all CPUs; use
@@ -194,19 +253,13 @@ func Build(m Model, suite []program.Profile) *Table {
 // in enumeration order.
 func BuildWith(ctx context.Context, rc runner.Config, m Model, suite []program.Profile) (*Table, error) {
 	k := m.Contexts()
-	if k < 1 {
-		panic("perfdb: model with no contexts")
+	if k < 1 || k > 8 {
+		panic(fmt.Sprintf("perfdb: model with %d contexts, want 1..8", k))
 	}
 	if len(suite) == 0 {
 		panic("perfdb: empty suite")
 	}
-	t := &Table{
-		name:    m.Name(),
-		k:       k,
-		suite:   suite,
-		Solo:    make([]float64, len(suite)),
-		entries: make(map[uint64]*Entry),
-	}
+	t := newTable(m.Name(), k, suite, make([]float64, len(suite)))
 	// Enumerate all coschedules of every size.
 	var all []workload.Coschedule
 	for size := 1; size <= k; size++ {
@@ -241,7 +294,7 @@ func BuildWith(ctx context.Context, rc runner.Config, m Model, suite []program.P
 			e.wipc[typ] = w // same-type slots are symmetric; the last one stands
 			e.InstTP += w
 		}
-		t.entries[Key(c)] = e
+		t.byRank[t.Rank(c)] = e
 	}
 	t.recomputeMaxWIPC()
 	t.deriveRows()
@@ -255,7 +308,7 @@ func (t *Table) recomputeMaxWIPC() {
 	for s := range t.maxWIPCBySize {
 		t.maxWIPCBySize[s] = make([]float64, len(t.suite))
 	}
-	for _, e := range t.entries {
+	for _, e := range t.byRank[1:] {
 		m := t.maxWIPCBySize[len(e.Cos)-1]
 		for _, b := range e.Cos {
 			if w := e.wipc[b]; w > m[b] {
@@ -273,10 +326,10 @@ func (t *Table) deriveRows() {
 	n := len(t.suite)
 	t.idle = make([]float64, n)
 	for b := range t.idle {
-		t.idle[b] = t.entries[KeyAppend(EmptyKey, b)].InstTP
+		t.idle[b] = t.byRank[t.RankAppend(0, 0, b)].InstTP
 	}
 	cand := make(workload.Coschedule, 0, t.k)
-	for _, e := range t.entries {
+	for _, e := range t.byRank[1:] {
 		if len(e.Cos) == t.k {
 			continue
 		}
@@ -284,7 +337,7 @@ func (t *Table) deriveRows() {
 		for b := range e.marg {
 			at, _ := slices.BinarySearch(e.Cos, b)
 			cand = slices.Insert(append(cand[:0], e.Cos...), at, b)
-			e.marg[b] = t.entries[Key(cand)].InstTP - e.InstTP
+			e.marg[b] = t.byRank[t.Rank(cand)].InstTP - e.InstTP
 		}
 	}
 }
@@ -300,24 +353,7 @@ func (t *Table) Suite() []program.Profile { return t.suite }
 
 // Entry returns the stored entry for a coschedule (which must be one of
 // the built sizes 1..K over the suite).
-func (t *Table) Entry(c workload.Coschedule) *Entry {
-	e, ok := t.entries[Key(c)]
-	if !ok {
-		panic(fmt.Sprintf("perfdb: unknown coschedule %v", c))
-	}
-	return e
-}
-
-// EntryByKey is Entry keyed by Key(c) — the uint64 route hot paths take
-// when they already hold the canonical key and must not re-derive it per
-// probe.
-func (t *Table) EntryByKey(k uint64) *Entry {
-	e, ok := t.entries[k]
-	if !ok {
-		panic(fmt.Sprintf("perfdb: unknown coschedule key %#x", k))
-	}
-	return e
-}
+func (t *Table) Entry(c workload.Coschedule) *Entry { return t.byRank[t.Rank(c)] }
 
 // JobWIPC returns the WIPC of one job of global type b in coschedule c.
 // It panics if b is not in c.
@@ -398,7 +434,7 @@ func (t *Table) Override(c workload.Coschedule, typeWIPC map[int]float64) {
 		ne.SlotIPC[j] = w * t.Solo[typ]
 		ne.InstTP += w
 	}
-	t.entries[Key(c)] = ne
+	t.byRank[t.Rank(c)] = ne
 	t.recomputeMaxWIPC()
 	t.deriveRows()
 }
@@ -407,19 +443,20 @@ func (t *Table) Override(c workload.Coschedule, typeWIPC map[int]float64) {
 // mutate the copy and leave the original intact.
 func (t *Table) Clone() *Table {
 	nt := &Table{
-		name:    t.name,
-		k:       t.k,
-		suite:   t.suite,
-		Solo:    append([]float64(nil), t.Solo...),
-		entries: make(map[uint64]*Entry, len(t.entries)),
-		idle:    slices.Clone(t.idle),
+		name:   t.name,
+		k:      t.k,
+		suite:  t.suite,
+		Solo:   append([]float64(nil), t.Solo...),
+		byRank: make([]*Entry, len(t.byRank)),
+		steps:  t.steps,
+		idle:   slices.Clone(t.idle),
 	}
 	nt.maxWIPCBySize = make([][]float64, len(t.maxWIPCBySize))
 	for s, m := range t.maxWIPCBySize {
 		nt.maxWIPCBySize[s] = append([]float64(nil), m...)
 	}
-	for k, e := range t.entries {
-		nt.entries[k] = &Entry{
+	for r, e := range t.byRank[1:] {
+		nt.byRank[r+1] = &Entry{
 			Cos:     e.Cos,
 			SlotIPC: slices.Clone(e.SlotIPC),
 			InstTP:  e.InstTP,
@@ -431,4 +468,4 @@ func (t *Table) Clone() *Table {
 }
 
 // Size returns the number of stored coschedules (all sizes).
-func (t *Table) Size() int { return len(t.entries) }
+func (t *Table) Size() int { return len(t.byRank) - 1 }

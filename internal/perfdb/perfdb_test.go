@@ -103,6 +103,38 @@ func TestKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRankIsDense pins the rank index: over suites of 1 to 5 types and K
+// of 1 to 4, every multiset of 1..K types gets its own rank in
+// 1..Size(), sizes included, the slot-by-slot fold agrees with Rank, and
+// every built entry sits at its coschedule's rank.
+func TestRankIsDense(t *testing.T) {
+	suite := program.Suite()
+	for n := 1; n <= 5; n++ {
+		for k := 1; k <= 4; k++ {
+			tab := Build(UniformModel{K: k}, suite[:n])
+			seen := map[int]bool{}
+			for s := 1; s <= k; s++ {
+				for _, c := range workload.Multisets(n, s) {
+					r, fold := tab.Rank(c), 0
+					for i, b := range c {
+						fold = tab.RankAppend(fold, i, b)
+					}
+					if r != fold || r < 1 || r > tab.Size() || seen[r] {
+						t.Fatalf("n=%d K=%d: %v has rank %d (fold %d, size %d, seen %v)", n, k, c, r, fold, tab.Size(), seen[r])
+					}
+					seen[r] = true
+					if e := tab.EntryByRank(r); !slices.Equal(e.Cos, c) {
+						t.Fatalf("n=%d K=%d: rank %d holds %v, want %v", n, k, r, e.Cos, c)
+					}
+				}
+			}
+			if len(seen) != tab.Size() {
+				t.Fatalf("n=%d K=%d: %d ranks for %d entries", n, k, len(seen), tab.Size())
+			}
+		}
+	}
+}
+
 func TestEntryPanicsOnUnknown(t *testing.T) {
 	tab := testTable(t)
 	defer func() {
@@ -184,7 +216,7 @@ func checkRows(tb testing.TB, tab *Table) {
 	if len(tab.IdleMarginal()) != n {
 		tb.Fatalf("idle row has %d elements for a %d-type suite", len(tab.IdleMarginal()), n)
 	}
-	for _, e := range tab.entries {
+	for _, e := range tab.byRank[1:] {
 		row := e.Marginal()
 		if len(e.Cos) == tab.K() {
 			if row != nil {
@@ -259,7 +291,7 @@ func TestMarginalRowsMatchInstTP(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkRows(t, loaded)
-			if !reflect.DeepEqual(loaded.entries, clone.entries) || !reflect.DeepEqual(loaded.idle, clone.idle) {
+			if !reflect.DeepEqual(loaded.byRank, clone.byRank) || !reflect.DeepEqual(loaded.idle, clone.idle) {
 				t.Fatal("loaded rows differ from the saved table's")
 			}
 		})

@@ -35,7 +35,6 @@ type enumerator struct {
 	ways   []int               // candidates' counting scratch
 	best   []int               // winning count vector (copied on improvement)
 	cos    workload.Coschedule // scratch candidate multiset, sorted
-	cosKey uint64              // perfdb.Key of the candidate, maintained by buildKey
 
 	// Branch-and-bound state, valid after setBounds (and setHeads and
 	// setRemBounds for SRPT) until the next reset. m is the candidate
@@ -59,23 +58,7 @@ type enumerator struct {
 	bndPfx    []float64
 	bndPlaced []int
 	dirty     int
-
-	// Dense-rate cache: a direct-mapped (key -> the keyed table entry's
-	// TypeWIPCs) table serving repeated candidate probes without the map
-	// lookup. Entries survive across decisions for as long as the
-	// source's rate epoch stands — the same soundness argument as
-	// MAXIT's decision memo — and rcKey 0 marks an empty slot (real keys
-	// are never 0: perfdb keys carry a leading length marker).
-	rcKey   [1 << rcBits]uint64
-	rcVal   [1 << rcBits][]float64
-	rcEpoch uint64
-	rcLive  bool
 }
-
-// rcBits sizes the dense-rate cache at 64 direct-mapped slots — enough
-// for every candidate of the queue depths the hot paths see, at 2KiB of
-// per-enumerator scratch.
-const rcBits = 6
 
 // reset points the enumerator at the queue summary q for one decision.
 func (e *enumerator) reset(q *Summary) {
@@ -185,41 +168,17 @@ func (e *enumerator) buildCos() {
 	}
 }
 
-// buildKey folds just the perfdb.Key of the current count vector, leaving
+// rank folds just table t's rank of the current count vector, leaving
 // the cos scratch stale — the fast path over the oracle table, which
 // never reads the materialised multiset.
-func (e *enumerator) buildKey() {
-	e.cosKey = perfdb.EmptyKey
+func (e *enumerator) rank(t *perfdb.Table) int {
+	r, i := 0, 0
 	for ti, c := range e.counts {
 		for j := 0; j < c; j++ {
-			e.cosKey = perfdb.KeyAppend(e.cosKey, e.types[ti])
+			r = t.RankAppend(r, i, e.types[ti])
+			i++
 		}
 	}
-}
-
-// primeRateCache readies the dense-rate cache for one decision at source
-// epoch ep, dropping every cached slice when the rates have moved.
-func (e *enumerator) primeRateCache(ep uint64) {
-	if e.rcLive && ep == e.rcEpoch {
-		return
-	}
-	clear(e.rcKey[:])
-	clear(e.rcVal[:])
-	e.rcEpoch, e.rcLive = ep, true
-}
-
-// ratesFor serves t.EntryByKey(key).TypeWIPCs() through the
-// direct-mapped cache: queue compositions repeat heavily between
-// scheduling events, so most candidates resolve to one uint64 compare
-// instead of a map probe. primeRateCache must have run for the current
-// epoch first.
-func (e *enumerator) ratesFor(t *perfdb.Table, key uint64) []float64 {
-	s := (key * 0x9e3779b97f4a7c15) >> (64 - rcBits)
-	if e.rcKey[s] == key {
-		return e.rcVal[s]
-	}
-	r := t.EntryByKey(key).TypeWIPCs()
-	e.rcKey[s], e.rcVal[s] = key, r
 	return r
 }
 

@@ -120,8 +120,9 @@ func New(name string, rs online.RateSource, w workload.Workload) (Scheduler, err
 // oracleTable unwraps the oracle performance table from a rate source —
 // the table itself or the online.Oracle wrapper around it — or returns
 // nil for a learned source. MAXTP's offline phase needs the table; MAXIT
-// and SRPT probe it by perfdb key, one map probe per candidate, instead
-// of re-deriving the key from a materialised coschedule.
+// and SRPT fold each candidate's table rank and index the table's entry
+// by it, one slice index per candidate, instead of materialising the
+// coschedule.
 func oracleTable(rs online.RateSource) *perfdb.Table {
 	switch s := rs.(type) {
 	case *perfdb.Table:
@@ -249,8 +250,7 @@ func (m *MAXIT) decide(q *Summary, k int) []int {
 		scored++
 		var tp float64
 		if tab != nil {
-			e.buildKey()
-			tp = tab.EntryByKey(e.cosKey).InstTP
+			tp = tab.EntryByRank(e.rank(tab)).InstTP
 		} else {
 			e.buildCos()
 			tp = m.Rates.InstTP(e.cos)
@@ -342,9 +342,6 @@ func (s *SRPT) decide(q *Summary, k int) []int {
 func (s *SRPT) walk(q *Summary, n int, prune bool) []int {
 	e := &s.enum
 	tab := oracleTable(s.Rates)
-	if tab != nil {
-		e.primeRateCache(s.Rates.Epoch())
-	}
 	e.setHeads(q, n)
 	prune = prune && e.setBounds(s.Rates, n)
 	thr := math.Inf(1)
@@ -409,8 +406,7 @@ const srptPruneFrom = 17
 func (s *SRPT) score(e *enumerator, tab *perfdb.Table, limit float64) float64 {
 	var rates []float64
 	if tab != nil {
-		e.buildKey()
-		rates = e.ratesFor(tab, e.cosKey)
+		rates = tab.EntryByRank(e.rank(tab)).TypeWIPCs()
 	} else {
 		e.buildCos()
 	}

@@ -17,7 +17,7 @@
 # change was slower in at least 18 of the 20 pairs (internal/resultdb,
 # Gate). The pair count is fixed because it sets how often unchanged
 # code fails: if each pair is a fair coin, one benchmark reaches 18 of
-# 20 with probability about 2e-4, and some one of the 24 gated ones in
+# 20 with probability about 2e-4, and some one of the 25 gated ones in
 # about 0.5% of runs (at 10 pairs, 9 of 10: about 23%). A run takes
 # about three and a quarter minutes on a 2-CPU host, the build
 # included. The raw outputs are kept in a temporary directory, whose
