@@ -8,14 +8,15 @@
 // Usage:
 //
 //	farmsim [-servers 4] [-hetero] [-sched FCFS] [-estimator oracle]
-//	        [-dispatchers random,rr,jsq,li,pd] [-d 2] [-loads 0.5,0.8,0.95]
+//	        [-dispatchers random,rr,jsq,li,pd2] [-loads 0.5,0.8,0.95]
 //	        [-jobs 20000] [-reps 3] [-seed 1] [-quantiles]
 //	        [-mtbf 0] [-mttr 2.5] [-retries 5] [-retry-delay 0.5] [-checkpoint restart]
 //	        [-parallel N] [-cache dir] [-csv dir] [-progress]
 //
 // A dispatcher or load listed twice in -dispatchers or -loads is a usage
-// error (exit 2); a bare "pd" counts as the pd<d> it expands to. So is
-// an unknown -sched, -estimator or -dispatchers name, reported before any
+// error (exit 2); dispatchers compare, and report, by their canonical
+// names, so pd, pd2 and pd02 are one dispatcher. So is an unknown
+// -sched, -estimator or -dispatchers name, reported before any
 // performance table is built.
 //
 // -estimator replaces the oracle performance table with an online learner
@@ -24,12 +25,11 @@
 // still progress at the machine's true rates. -quantiles appends P50/P99
 // turnaround panels to the report.
 //
-// The pd dispatcher is power-of-d-choices: it probes d random distinct
-// servers per arrival and places on the least-interfering of those by the
-// same marginal-throughput criterion li applies to every server. -d sets
-// the probe count a bare "pd" in -dispatchers uses (an explicit pd3 etc.
-// overrides it); pd with d >= N reproduces li exactly, pd1 reproduces
-// random.
+// The pd<d> dispatcher is power-of-d-choices: it probes d random
+// distinct servers per arrival and places on the least-interfering of
+// those by the same marginal-throughput criterion li applies to every
+// server. A bare "pd" is pd2; pd<d> with d >= N reproduces li exactly,
+// pd1 reproduces random.
 //
 // -mtbf > 0 switches on deterministic fault injection (internal/fault):
 // every server fails and repairs on its own exponential
@@ -96,8 +96,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		schedName   = fs.String("sched", "FCFS", "per-server scheduler: FCFS, MAXIT, SRPT or MAXTP")
 		estimator   = fs.String("estimator", "oracle", "per-server rate knowledge: "+strings.Join(online.Names, ", ")+" (non-oracle learns co-run rates online)")
 		quantiles   = fs.Bool("quantiles", false, "also print P50/P99 turnaround panels")
-		dispatchers = fs.String("dispatchers", strings.Join(farm.DispatcherNames, ","), "comma-separated dispatch policies (pd[<d>] = power-of-d-choices)")
-		probeD      = fs.Int("d", 2, "probe count a bare pd dispatcher uses (pd1 = random, pd>=N = li)")
+		dispatchers = fs.String("dispatchers", strings.Join(farm.DispatcherNames, ","), "comma-separated dispatch policies (pd<d> = power-of-d-choices; a bare pd is pd2)")
 		loads       = fs.String("loads", "0.5,0.8,0.95", "comma-separated offered loads relative to farm capacity")
 		jobs        = fs.Int("jobs", 20000, "jobs per simulation")
 		reps        = fs.Int("reps", 3, "replications (independent seeds) per cell")
@@ -124,19 +123,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	for _, c := range []struct {
 		flag string
 		v    int
-	}{{"-servers", *servers}, {"-jobs", *jobs}, {"-reps", *reps}, {"-d", *probeD}, {"-parallel", *parallel}} {
+	}{{"-servers", *servers}, {"-jobs", *jobs}, {"-reps", *reps}, {"-parallel", *parallel}} {
 		if c.v < 1 {
 			fmt.Fprintf(stderr, "farmsim: %s wants a count >= 1, got %d\n", c.flag, c.v)
 			return 2
 		}
 	}
 	// A repeated grid coordinate would run (and write) its cells twice.
+	// Dispatchers compare by canonical name, so pd, pd2 and pd02 are one;
+	// an unknown name is a usage error, caught before any table is built.
 	var dispList []string
 	for _, s := range strings.Split(*dispatchers, ",") {
-		name := strings.TrimSpace(s)
-		if name == "pd" {
-			name = fmt.Sprintf("pd%d", *probeD)
+		d, err := farm.NewDispatcher(strings.TrimSpace(s))
+		if err != nil {
+			fmt.Fprintf(stderr, "farmsim: -dispatchers: %v\n", err)
+			return 2
 		}
+		name := d.Name()
 		if slices.Contains(dispList, name) {
 			fmt.Fprintf(stderr, "farmsim: -dispatchers lists %s twice\n", name)
 			return 2
@@ -167,7 +170,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		fmt.Fprintf(stderr, "farmsim: %v\n", err)
 		return 2
 	}
-	// Unknown names are usage errors too, caught before any table is built.
+	// So are unknown -sched and -estimator names.
 	if !slices.Contains(sched.Names, *schedName) {
 		fmt.Fprintf(stderr, "farmsim: -sched %q is not one of %s\n", *schedName, strings.Join(sched.Names, ", "))
 		return 2
@@ -175,12 +178,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	if !slices.Contains(online.Names, *estimator) {
 		fmt.Fprintf(stderr, "farmsim: -estimator %q is not one of %s\n", *estimator, strings.Join(online.Names, ", "))
 		return 2
-	}
-	for _, name := range dispList {
-		if _, err := farm.NewDispatcher(name); err != nil {
-			fmt.Fprintf(stderr, "farmsim: -dispatchers: %v\n", err)
-			return 2
-		}
 	}
 
 	cfg := exp.DefaultConfig()

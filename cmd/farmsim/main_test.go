@@ -127,9 +127,8 @@ func TestRunDeterministicAcrossParallel(t *testing.T) {
 	}
 }
 
-// TestRunShardedPD smoke-runs power-of-d dispatch: a bare "pd" in
-// -dispatchers picks up the -d probe count, and -parallel 1 and NumCPU
-// print byte-identical reports.
+// TestRunShardedPD smoke-runs power-of-d dispatch: pd3 and pd1 label
+// their rows, and -parallel 1 and NumCPU print byte-identical reports.
 func TestRunShardedPD(t *testing.T) {
 	var outs []string
 	for _, settings := range [][]string{
@@ -139,7 +138,7 @@ func TestRunShardedPD(t *testing.T) {
 		var out, errb strings.Builder
 		args := append([]string{
 			"-servers", "6", "-jobs", "800", "-reps", "2",
-			"-dispatchers", "pd,pd1", "-d", "3", "-loads", "0.8",
+			"-dispatchers", "pd3,pd1", "-loads", "0.8",
 		}, settings...)
 		if code := run(context.Background(), args, &out, &errb); code != 0 {
 			t.Fatalf("%v: run = %d, stderr: %s", settings, code, errb.String())
@@ -272,7 +271,6 @@ func TestRunErrors(t *testing.T) {
 	// fallback to the default; so is a grid coordinate listed twice,
 	// which would run and write its cells twice.
 	for _, bad := range [][]string{
-		{"-d", "0"},
 		{"-servers", "-3"},
 		{"-servers", "0"},
 		{"-jobs", "-300"},
@@ -280,7 +278,7 @@ func TestRunErrors(t *testing.T) {
 		{"-reps", "0"},
 		{"-dispatchers", "li,li,rr"},
 		{"-dispatchers", "pd,pd2"},
-		{"-dispatchers", "pd3,pd", "-d", "3"},
+		{"-dispatchers", "pd2,pd02"},
 		{"-loads", "0.5,0.5"},
 		{"-loads", "0.5,0.8,0.50"},
 	} {

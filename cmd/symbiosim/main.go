@@ -7,10 +7,9 @@
 //	symbiosim [flags] list
 //	symbiosim [flags] run <scenario>... | all
 //	symbiosim diff [-db dir] [-tol f] <ref> <ref>
-//	symbiosim bench-record [-db dir] [-in file] [-ledger file]
 //	symbiosim resultdb [-db dir] list | show <ref>
 //	symbiosim perfgate <parent-output> <change-output>
-//	symbiosim trend [-db dir] [-scenario bench] [-bench substr] [-metric substr] [-last N] [-csv dir]
+//	symbiosim trend [-db dir] -scenario name [-metric substr] [-last N] [-csv dir]
 //
 // Scenarios come from the internal/scenario registry (see `symbiosim
 // list`): the paper's table1/fig1-fig6/table2, the n8/fairness/uarch
@@ -25,11 +24,12 @@
 // instrumentation (scenarios that support it emit an extra *_metrics
 // table; simulation results are byte-identical either way), -record
 // stores each scenario's tables and metrics as a content-addressed
-// record in the given resultdb directory, and -cpuprofile/-memprofile
-// write runtime/pprof profiles of the run. The diff, bench-record,
-// resultdb and trend subcommands operate on the record store; see their
-// -h output and internal/resultdb. perfgate compares two files of paired
-// benchmark output, a parent's and a change's (perf/gate.sh).
+// record in the given resultdb directory (created if absent), and
+// -cpuprofile/-memprofile write runtime/pprof profiles of the run. The
+// diff, resultdb and trend subcommands read an existing record store;
+// see their -h output and internal/resultdb. Benchmark timings are not
+// stored: perfgate compares two files of `go test -bench` output, a
+// parent's and a change's (perf/gate.sh pairs them on one machine).
 //
 // symbiosim exits non-zero on SIGINT/SIGTERM: the in-flight scenario is
 // cancelled and its partial work discarded. Scenario tables are written
@@ -69,8 +69,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		switch args[0] {
 		case "diff":
 			return runDiffCmd(args[1:], stdout, stderr)
-		case "bench-record":
-			return runBenchRecordCmd(args[1:], stdout, stderr)
 		case "resultdb":
 			return runResultDBCmd(args[1:], stdout, stderr)
 		case "perfgate":
@@ -98,7 +96,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		memProf  = fs.String("memprofile", "", "write a final heap profile of the run to this file")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: symbiosim [flags] list | run <scenario>... | diff | bench-record | resultdb | perfgate | trend\n")
+		fmt.Fprintf(stderr, "usage: symbiosim [flags] list | run <scenario>... | diff | resultdb | perfgate | trend\n")
 		fmt.Fprintf(stderr, "scenarios: %s\n", strings.Join(scenario.Names(), ", "))
 		fs.PrintDefaults()
 	}
@@ -135,7 +133,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	case "run":
 		// handled below
 	default:
-		fmt.Fprintf(stderr, "symbiosim: unknown command %q (want list, run, diff, bench-record, resultdb, perfgate or trend)\n", cmd)
+		fmt.Fprintf(stderr, "symbiosim: unknown command %q (want list, run, diff, resultdb, perfgate or trend)\n", cmd)
 		fs.Usage()
 		return 2
 	}
@@ -211,10 +209,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 
 	var store *resultdb.Store
 	if *record != "" {
-		var ok bool
-		if store, ok = openStore(*record, stderr); !ok {
+		if err := os.MkdirAll(*record, 0o755); err != nil {
+			fmt.Fprintf(stderr, "symbiosim: -record %s: %v\n", *record, err)
 			return 1
 		}
+		store = &resultdb.Store{Dir: *record}
 	}
 	// The record key hashes the result-affecting configuration;
 	// -parallel and -cache are excluded because results are identical at

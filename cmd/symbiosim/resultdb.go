@@ -1,12 +1,11 @@
-// This file holds the resultdb-facing subcommands: diff, bench-record,
-// resultdb (list/show) and perfgate. They are thin shells over
-// internal/resultdb — reference resolution, record construction and exit
-// codes live here; comparison and storage semantics live in the library.
+// This file holds the resultdb-facing subcommands: diff, resultdb
+// (list/show) and perfgate. They are thin shells over internal/resultdb
+// — reference resolution, record construction and exit codes live here;
+// comparison and storage semantics live in the library.
 
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -16,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"symbiosched/internal/resultdb"
 	"symbiosched/internal/scenario"
@@ -112,7 +110,8 @@ func recordTables(ts []*scenario.Table) ([]resultdb.Table, []resultdb.MetricRow)
 	return tables, mrows
 }
 
-// openStore opens (creating if needed) the record store at dir.
+// openStore opens the existing record store at dir; reading a store
+// never creates one.
 func openStore(dir string, stderr io.Writer) (*resultdb.Store, bool) {
 	st, err := resultdb.Open(dir)
 	if err != nil {
@@ -152,9 +151,9 @@ func parseOrUsage(fs *flag.FlagSet, args []string, usage string, stderr io.Write
 	return true, 0
 }
 
-// runDiffCmd implements `symbiosim diff`: per-cell, per-metric and
-// per-bench deltas between two stored records. Exit 0 means no deltas
-// beyond tolerance, 1 means deltas, 2 means usage or lookup failure.
+// runDiffCmd implements `symbiosim diff`: per-cell and per-metric
+// deltas between two stored records. Exit 0 means no deltas beyond
+// tolerance, 1 means deltas, 2 means usage or lookup failure.
 func runDiffCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("symbiosim diff", flag.ContinueOnError)
 	db := fs.String("db", defaultDB, "record store directory")
@@ -190,71 +189,6 @@ func runDiffCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// runBenchRecordCmd implements `symbiosim bench-record`: parse `go test
-// -bench` output (stdin or -in) into a resultdb record, and optionally
-// regenerate a human-readable JSON ledger next to the BENCH_*.json files.
-func runBenchRecordCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("symbiosim bench-record", flag.ContinueOnError)
-	db := fs.String("db", defaultDB, "record store directory")
-	in := fs.String("in", "-", "benchmark output file (- = stdin)")
-	scen := fs.String("scenario", "bench", "scenario key to store the record under")
-	note := fs.String("note", "", "free-form annotation (excluded from the content hash)")
-	ledger := fs.String("ledger", "", "also write a human-readable JSON ledger to this file")
-	if ok, code := parseOrUsage(fs, args, "symbiosim bench-record [-db dir] [-in file] [-scenario s] [-note s] [-ledger file] < bench-output", stderr); !ok {
-		return code
-	}
-	benches, err := readBench(*in)
-	if err != nil {
-		fmt.Fprintf(stderr, "symbiosim: %v\n", err)
-		return 2
-	}
-	rec := &resultdb.Record{
-		Scenario:   *scen,
-		ConfigHash: configHash("bench"),
-		Commit:     currentCommit(),
-		When:       time.Now().UTC().Format(time.RFC3339),
-		Note:       *note,
-		Benches:    benches,
-	}
-	st, ok := openStore(*db, stderr)
-	if !ok {
-		return 2
-	}
-	name, err := st.Put(rec)
-	if err != nil {
-		fmt.Fprintf(stderr, "symbiosim: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "recorded %d benchmarks as %s\n", len(benches), name)
-	if *ledger != "" {
-		if err := writeLedger(*ledger, rec); err != nil {
-			fmt.Fprintf(stderr, "symbiosim: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "ledger written to %s\n", *ledger)
-	}
-	return 0
-}
-
-// benchLedger is the generated human-readable ledger shape — the
-// machine-produced successor of the hand-written BENCH_*.json files.
-type benchLedger struct {
-	Date    string           `json:"date"`
-	Commit  string           `json:"commit"`
-	Note    string           `json:"note,omitempty"`
-	Benches []resultdb.Bench `json:"benches"`
-}
-
-func writeLedger(path string, rec *resultdb.Record) error {
-	b, err := json.MarshalIndent(benchLedger{
-		Date: rec.When, Commit: rec.Commit, Note: rec.Note, Benches: rec.Benches,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // runResultDBCmd implements `symbiosim resultdb list|show`.
@@ -310,9 +244,6 @@ func runResultDBCmd(args []string, stdout, stderr io.Writer) int {
 		if len(rec.Metrics) > 0 {
 			fmt.Fprintf(stdout, "metrics: %d rows\n", len(rec.Metrics))
 		}
-		for _, b := range rec.Benches {
-			fmt.Fprintf(stdout, "bench %-50s %12.1f ns/op\n", b.Name, b.NsPerOp)
-		}
 		return 0
 	default:
 		fs.Usage()
@@ -356,8 +287,8 @@ func runPerfGateCmd(args []string, stdout, stderr io.Writer) int {
 }
 
 // readBench parses one file of `go test -bench` output, "-" meaning
-// stdin; a file with no benchmark line is an error, as a record or a
-// gate of it would hold nothing.
+// stdin; a file with no benchmark line is an error, as a gate of it
+// would hold nothing.
 func readBench(path string) ([]resultdb.Bench, error) {
 	var r io.Reader = os.Stdin
 	if path != "-" {

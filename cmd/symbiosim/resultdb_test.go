@@ -2,11 +2,12 @@ package main
 
 import (
 	"context"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestProfileSmoke pins the satellite contract: -cpuprofile and
@@ -79,12 +80,11 @@ func benchOutput(maxitNs string) string {
 		"PASS\n"
 }
 
-// TestBenchRecordDiffAndGate drives the perf-trajectory loop at the CLI
-// level: record a baseline and a 25%-regressed run and see the diff,
-// then gate the same two outputs as one parent/change pair.
-func TestBenchRecordDiffAndGate(t *testing.T) {
+// TestPerfGateSingleRuns gates two single-run outputs as one
+// parent/change pair: the benchmark 25% slower in it fails and the
+// unchanged one passes.
+func TestPerfGateSingleRuns(t *testing.T) {
 	dir := t.TempDir()
-	db := filepath.Join(dir, "db")
 	base := filepath.Join(dir, "base.txt")
 	slow := filepath.Join(dir, "slow.txt")
 	if err := os.WriteFile(base, []byte(benchOutput("100")), 0o644); err != nil {
@@ -93,52 +93,7 @@ func TestBenchRecordDiffAndGate(t *testing.T) {
 	if err := os.WriteFile(slow, []byte(benchOutput("125")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
 	var out, errb strings.Builder
-	ledger := filepath.Join(dir, "ledger.json")
-	if code := run(context.Background(), []string{"bench-record", "-db", db, "-in", base, "-ledger", ledger}, &out, &errb); code != 0 {
-		t.Fatalf("bench-record base = %d, stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "recorded 2 benchmarks") {
-		t.Fatalf("bench-record output unexpected:\n%s", out.String())
-	}
-	data, err := os.ReadFile(ledger)
-	if err != nil {
-		t.Fatalf("ledger not written: %v", err)
-	}
-	if !strings.Contains(string(data), "BenchmarkSchedulerSelect/SRPT/depth=32") {
-		t.Errorf("ledger missing the SRPT entry:\n%s", data)
-	}
-	// Make the baseline strictly older so "latest"/"latest~1" order is
-	// independent of filesystem timestamp granularity.
-	entries, err := os.ReadDir(db)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("store after first record: %v, %d entries", err, len(entries))
-	}
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(filepath.Join(db, entries[0].Name()), old, old); err != nil {
-		t.Fatal(err)
-	}
-	if code := run(context.Background(), []string{"bench-record", "-db", db, "-in", slow}, &out, &errb); code != 0 {
-		t.Fatalf("bench-record slow = %d, stderr: %s", code, errb.String())
-	}
-
-	// The regressed record differs from the baseline; diff says so and
-	// exits 1, but a 30% tolerance swallows the 25% drift.
-	out.Reset()
-	if code := run(context.Background(), []string{"diff", "-db", db, "latest~1", "latest"}, &out, &errb); code != 1 {
-		t.Fatalf("diff regressed = %d, want 1; stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "MAXIT/depth=32 ns/op") {
-		t.Errorf("diff output missing the regressed bench:\n%s", out.String())
-	}
-	if code := run(context.Background(), []string{"diff", "-db", db, "-tol", "0.30", "latest~1", "latest"}, &out, &errb); code != 0 {
-		t.Errorf("diff at 30%% tolerance = %d, want 0", code)
-	}
-
-	// perfgate reads the same outputs: one pair, the change 25% slower
-	// in it, fails MAXIT and passes SRPT.
-	out.Reset()
 	if code := run(context.Background(), []string{"perfgate", base, slow}, &out, &errb); code != 1 {
 		t.Fatalf("perfgate regressed = %d, want 1; stderr: %s", code, errb.String())
 	}
@@ -198,27 +153,41 @@ func TestPerfGateExitCodes(t *testing.T) {
 // subcommand invocations.
 func TestSubcommandUsageErrors(t *testing.T) {
 	var out, errb strings.Builder
-	if code := run(context.Background(), []string{"diff", "onlyone"}, &out, &errb); code != 2 {
-		t.Errorf("diff with one ref = %d, want 2", code)
+	for _, args := range [][]string{
+		{"diff", "onlyone"},
+		{"perfgate"},
+		{"resultdb", "-db", t.TempDir(), "bogus"},
+		{"diff", "-db", t.TempDir(), "latest", "latest"},
+	} {
+		if code := run(context.Background(), args, &out, &errb); code != 2 {
+			t.Errorf("%v = %d, want 2", args, code)
+		}
 	}
-	if code := run(context.Background(), []string{"perfgate"}, &out, &errb); code != 2 {
-		t.Errorf("perfgate without refs = %d, want 2", code)
-	}
-	if code := run(context.Background(), []string{"resultdb", "-db", t.TempDir(), "bogus"}, &out, &errb); code != 2 {
-		t.Errorf("resultdb bogus verb = %d, want 2", code)
-	}
-	if code := run(context.Background(), []string{"diff", "-db", t.TempDir(), "latest", "latest"}, &out, &errb); code != 2 {
-		t.Errorf("diff over empty store = %d, want 2", code)
+	// Reading a store never creates it: a mistyped -db is an error
+	// naming the path, and no directory appears.
+	dir := t.TempDir()
+	typo := filepath.Join(dir, "typo")
+	for _, args := range [][]string{
+		{"diff", "-db", typo, "latest", "latest"},
+		{"trend", "-db", typo, "-scenario", "fig4"},
+		{"resultdb", "-db", typo, "list"},
+	} {
+		errb.Reset()
+		if code := run(context.Background(), args, &out, &errb); code != 2 {
+			t.Errorf("%v = %d, want 2", args, code)
+		}
+		if !strings.Contains(errb.String(), typo) {
+			t.Errorf("%v: stderr %q does not name the path", args, errb.String())
+		}
+		if _, err := os.Stat(typo); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%v left %s behind (stat: %v)", args, typo, err)
+		}
 	}
 	// A NaN or infinite tolerance would hide every delta, and a negative
 	// one means nothing: each is rejected even over a readable record.
-	dir := t.TempDir()
-	db, in := filepath.Join(dir, "db"), filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(in, []byte(benchOutput("100")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := run(context.Background(), []string{"bench-record", "-db", db, "-in", in}, &out, &errb); code != 0 {
-		t.Fatalf("bench-record = %d, stderr: %s", code, errb.String())
+	db := filepath.Join(dir, "db")
+	if code := run(context.Background(), []string{"-record", db, "run", "fig4"}, &out, &errb); code != 0 {
+		t.Fatalf("run -record = %d, stderr: %s", code, errb.String())
 	}
 	for _, tol := range []string{"NaN", "Inf", "-1"} {
 		errb.Reset()
@@ -229,18 +198,10 @@ func TestSubcommandUsageErrors(t *testing.T) {
 			t.Errorf("diff -tol %s: stderr %q does not name the flag", tol, errb.String())
 		}
 	}
-	// bench-record rejects unreadable, corrupt or empty bench output
-	// with exit 2, as perfgate does.
-	nan, empty := filepath.Join(dir, "nan.txt"), filepath.Join(dir, "empty.txt")
-	if err := os.WriteFile(nan, []byte("BenchmarkX-8  100  NaN ns/op\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(empty, []byte("PASS\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []string{nan, empty, filepath.Join(dir, "absent.txt")} {
-		if code := run(context.Background(), []string{"bench-record", "-db", db, "-in", bad}, &out, &errb); code != 2 {
-			t.Errorf("bench-record -in %s = %d, want 2", filepath.Base(bad), code)
+	// latest~N takes an integer and nothing else.
+	for _, ref := range []string{"latest~0junk", "latest~1.5"} {
+		if code := run(context.Background(), []string{"diff", "-db", db, ref, "latest"}, &out, &errb); code != 2 {
+			t.Errorf("diff %s latest = %d, want 2", ref, code)
 		}
 	}
 }

@@ -1,8 +1,8 @@
-// This file implements `symbiosim trend`: the perf-trajectory view over
-// a resultdb store. It walks the store's records for one scenario key
-// across commits (oldest to newest) and renders every benchmark's ns/op
-// and every recorded metric as a series — a text sparkline per series on
-// stdout, and optionally the full long-format table as CSV.
+// This file implements `symbiosim trend`: the trajectory view over a
+// resultdb store. It walks the store's records for one scenario key
+// across commits (oldest to newest) and renders every recorded numeric
+// metric as a series — a text sparkline per series on stdout, and
+// optionally the full long-format table as CSV.
 
 package main
 
@@ -70,15 +70,14 @@ type trendSeries struct {
 func runTrendCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("symbiosim trend", flag.ContinueOnError)
 	db := fs.String("db", defaultDB, "record store directory")
-	scen := fs.String("scenario", "bench", "scenario key to walk (the bench-record default, or a -record scenario name)")
-	benchF := fs.String("bench", "", "only benchmarks whose name contains this substring")
+	scen := fs.String("scenario", "", "scenario key to walk, a -record scenario name (required)")
 	metricF := fs.String("metric", "", "only metrics whose name contains this substring")
 	last := fs.Int("last", 0, "walk only the most recent N records (0 = all)")
 	csvDir := fs.String("csv", "", "also write the trend table as trend_<scenario>.csv into this directory")
-	if ok, code := parseOrUsage(fs, args, "symbiosim trend [-db dir] [-scenario bench] [-bench substr] [-metric substr] [-last N] [-csv dir]", stderr); !ok {
+	if ok, code := parseOrUsage(fs, args, "symbiosim trend [-db dir] -scenario name [-metric substr] [-last N] [-csv dir]", stderr); !ok {
 		return code
 	}
-	if fs.NArg() != 0 {
+	if fs.NArg() != 0 || *scen == "" {
 		fs.Usage()
 		return 2
 	}
@@ -127,9 +126,9 @@ func runTrendCmd(args []string, stdout, stderr io.Writer) int {
 		recs[i], recs[j] = recs[j], recs[i]
 	}
 
-	series := trendCollect(recs, *benchF, *metricF)
+	series := trendCollect(recs, *metricF)
 	if len(series) == 0 {
-		fmt.Fprintf(stderr, "symbiosim: records match but no series passed the -bench/-metric filters\n")
+		fmt.Fprintf(stderr, "symbiosim: records match but no numeric metric passed the -metric filter\n")
 		return 1
 	}
 
@@ -175,31 +174,12 @@ func runTrendCmd(args []string, stdout, stderr io.Writer) int {
 }
 
 // trendCollect builds the series over the oldest-first records: every
-// benchmark's ns/op (as "bench <name>") and every metric row with a
-// numeric value (as "metric <Metric>/<Field>"), in first-seen order.
-func trendCollect(recs []*resultdb.Record, benchF, metricF string) []trendSeries {
+// metric row with a numeric value (as "metric <Metric>/<Field>"), in
+// first-seen order.
+func trendCollect(recs []*resultdb.Record, metricF string) []trendSeries {
 	idx := map[string]int{}
 	var series []trendSeries
-	point := func(key string, i int, v float64) {
-		si, ok := idx[key]
-		if !ok {
-			si = len(series)
-			idx[key] = si
-			vals := make([]float64, len(recs))
-			for k := range vals {
-				vals[k] = math.NaN()
-			}
-			series = append(series, trendSeries{name: key, vals: vals})
-		}
-		series[si].vals[i] = v
-	}
 	for i, rec := range recs {
-		for _, b := range rec.Benches {
-			if benchF != "" && !strings.Contains(b.Name, benchF) {
-				continue
-			}
-			point("bench "+b.Name, i, b.NsPerOp)
-		}
 		for _, m := range rec.Metrics {
 			name := m.Metric + "/" + m.Field
 			if metricF != "" && !strings.Contains(name, metricF) {
@@ -209,7 +189,17 @@ func trendCollect(recs []*resultdb.Record, benchF, metricF string) []trendSeries
 			if err != nil {
 				continue // non-numeric metric values carry no trajectory
 			}
-			point("metric "+name, i, v)
+			si, ok := idx[name]
+			if !ok {
+				si = len(series)
+				idx[name] = si
+				vals := make([]float64, len(recs))
+				for k := range vals {
+					vals[k] = math.NaN()
+				}
+				series = append(series, trendSeries{name: "metric " + name, vals: vals})
+			}
+			series[si].vals[i] = v
 		}
 	}
 	return series

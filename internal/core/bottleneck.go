@@ -53,35 +53,6 @@ func LinearBottleneckThroughput(rates []float64) float64 {
 	return float64(len(rates)) / inv
 }
 
-// FitBottleneckRates returns the least-squares R_b of the linear
-// bottleneck fit for a workload (the reciprocals of the fitted u_b).
-// Types whose fitted u_b is non-positive (no consistent bottleneck share)
-// yield +Inf-free zero entries and should be interpreted as "not part of
-// the bottleneck".
-func FitBottleneckRates(t *perfdb.Table, w workload.Workload) []float64 {
-	coscheds := workload.LocalCoschedules(w, t.K())
-	m, n := len(coscheds), len(w)
-	a := linalg.NewMatrix(m, n)
-	rhs := make([]float64, m)
-	for i, c := range coscheds {
-		for j, b := range w {
-			a.Set(i, j, t.TypeRate(c, b))
-		}
-		rhs[i] = 1
-	}
-	u, _, err := linalg.LeastSquares(a, rhs)
-	out := make([]float64, n)
-	if err != nil {
-		return out
-	}
-	for j, v := range u {
-		if v > 1e-12 {
-			out[j] = 1 / v
-		}
-	}
-	return out
-}
-
 // TypeWIPCDiff returns the difference between the largest and smallest
 // per-type average WIPC within a workload — the colour dimension of
 // Figure 3 ("difference in average WIPC between the different job types").

@@ -132,15 +132,10 @@ func TestFarmMatchesMMCAnalytics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Average several replications through the sweep engine:
-			// near saturation a single run's mean is too noisy to pin
-			// tightly.
-			res, err := Sweep(context.Background(), runner.Config{},
-				[]ServerSpec{fcfsSpec(tab)}, "rr", workload.Workload{0},
+			// Average several replications: near saturation a single
+			// run's mean is too noisy to pin tightly.
+			res := replicate(t, []ServerSpec{fcfsSpec(tab)}, "rr", workload.Workload{0},
 				Config{Lambda: lambda, Jobs: 50_000, SizeShape: 1, Seed: 1}, 10)
-			if err != nil {
-				t.Fatalf("c=%d load=%v: %v", c, load, err)
-			}
 			rel := math.Abs(res.MeanTurnaround-want) / want
 			if rel > 0.05 {
 				t.Errorf("c=%d load=%v: farm turnaround %.4f vs M/M/%d analytic %.4f (rel err %.1f%%)",
@@ -150,18 +145,38 @@ func TestFarmMatchesMMCAnalytics(t *testing.T) {
 	}
 }
 
+// replicate runs reps replications of one farm configuration in index
+// order and folds them, as the experiment layer's replicated grids do.
+func replicate(t *testing.T, specs []ServerSpec, disp string, w workload.Workload, cfg Config, reps int) *SweepResult {
+	t.Helper()
+	runs := make([]Replication, reps)
+	for i := range runs {
+		r, err := Replicate(specs, disp, w, cfg, i)
+		if err != nil {
+			t.Fatalf("%s replication %d: %v", disp, i, err)
+		}
+		runs[i] = r
+	}
+	return Aggregate(runs)
+}
+
 // TestSweepDeterministicAcrossParallelism pins the acceptance criterion:
-// replication sweeps are bit-identical at parallelism 1 and 8.
+// replications fanned out through internal/runner and folded by
+// Aggregate are bit-identical at parallelism 1 and 8.
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	tab := smtTable(t)
 	specs := []ServerSpec{fcfsSpec(tab), fcfsSpec(tab)}
+	cfg := Config{Lambda: 2.5, Jobs: 3000, SizeShape: 4, Seed: 3}
 	var outs []string
 	for _, p := range []int{1, 8} {
-		res, err := Sweep(context.Background(), runner.Config{Parallelism: p},
-			specs, "li", w4(), Config{Lambda: 2.5, Jobs: 3000, SizeShape: 4, Seed: 3}, 6)
+		runs, err := runner.Map(context.Background(), runner.Config{Parallelism: p}, 6,
+			func(_ context.Context, i int) (Replication, error) {
+				return Replicate(specs, "li", w4(), cfg, i)
+			})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := Aggregate(runs)
 		outs = append(outs, fmt.Sprintf("%v %v %v %v %v %v",
 			res.MeanTurnaround, res.P95Turnaround, res.Utilisation,
 			res.EmptyFraction, res.Throughput, res.TurnaroundStd))
@@ -392,11 +407,7 @@ func TestJSQBeatsRandomNearSaturation(t *testing.T) {
 	specs := []ServerSpec{fcfsSpec(tab), fcfsSpec(tab), fcfsSpec(tab)}
 	cfg := Config{Lambda: 0.85 * 6, Jobs: 20_000, SizeShape: 1, Seed: 9}
 	run := func(disp string) float64 {
-		res, err := Sweep(context.Background(), runner.Config{}, specs, disp, workload.Workload{0}, cfg, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.MeanTurnaround
+		return replicate(t, specs, disp, workload.Workload{0}, cfg, 3).MeanTurnaround
 	}
 	if jsq, rnd := run("jsq"), run("random"); jsq >= rnd {
 		t.Errorf("JSQ turnaround %v not better than random %v at load 0.85", jsq, rnd)

@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"symbiosched/internal/perfdb"
 	"symbiosched/internal/program"
 	"symbiosched/internal/queueing"
-	"symbiosched/internal/runner"
 	"symbiosched/internal/stats"
 	"symbiosched/internal/workload"
 )
@@ -138,11 +136,7 @@ func TestPDSupermarketCrossValidation(t *testing.T) {
 	lambda := load * nServers // mu = 1 per server
 	cfg := Config{Lambda: lambda, Jobs: 40_000, SizeShape: 1, Seed: 1}
 	run := func(disp string) *SweepResult {
-		res, err := Sweep(context.Background(), runner.Config{}, specs, disp, workload.Workload{0}, cfg, 8)
-		if err != nil {
-			t.Fatalf("%s: %v", disp, err)
-		}
-		return res
+		return replicate(t, specs, disp, workload.Workload{0}, cfg, 8)
 	}
 	rnd, pd1, pd2, jsq := run("random"), run("pd1"), run("pd2"), run("jsq")
 

@@ -1,12 +1,10 @@
 package farm
 
 import (
-	"context"
 	"math"
 
 	"symbiosched/internal/metrics"
 	"symbiosched/internal/numeric"
-	"symbiosched/internal/runner"
 	"symbiosched/internal/workload"
 )
 
@@ -133,21 +131,4 @@ func ReplicateSharded(specs []ServerSpec, disp string, w workload.Workload, cfg 
 		return Replication{}, err
 	}
 	return Replication{Seed: rcfg.Seed, Result: res}, nil
-}
-
-// Sweep runs reps independent replications of the farm configuration
-// (specs, dispatcher named disp, workload w, cfg with per-replication
-// seeds derived from cfg.Seed) through the shared runner engine and
-// aggregates them in index order.
-func Sweep(ctx context.Context, rc runner.Config, specs []ServerSpec, disp string, w workload.Workload, cfg Config, reps int) (*SweepResult, error) {
-	if reps <= 0 {
-		reps = 1
-	}
-	runs, err := runner.Map(ctx, rc, reps, func(_ context.Context, i int) (Replication, error) {
-		return Replicate(specs, disp, w, cfg, i)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return Aggregate(runs), nil
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // Delta is one difference between two records. Where identifies the
-// datum ("table/cell", "metric", "bench"); Old and New are the two
-// values; Rel is the relative change (new/old - 1, ±Inf when only one
-// side has the datum and NaN comparisons never reach here).
+// datum ("table/cell", "metric"); Old and New are the two values; Rel
+// is the relative change (new/old - 1, ±Inf when only one side has the
+// datum and NaN comparisons never reach here).
 type Delta struct {
-	Kind  string // "table", "metric", "bench", "presence"
+	Kind  string // "table", "metric", "presence"
 	Where string
 	Old   string
 	New   string
@@ -56,9 +56,8 @@ func sign(v float64) int {
 }
 
 // Diff compares two records and returns the deltas beyond tolerance, in
-// a fixed order (tables in a's order, then metrics, then benches), so
-// the report is deterministic. Identical records yield no deltas at any
-// tolerance.
+// a fixed order (tables in a's order, then metrics), so the report is
+// deterministic. Identical records yield no deltas at any tolerance.
 func Diff(a, b *Record, opt DiffOptions) []Delta {
 	var out []Delta
 	present := func(kind, where, oldS, newS string) {
@@ -130,45 +129,6 @@ func Diff(a, b *Record, opt DiffOptions) []Delta {
 		}
 	}
 
-	bb := map[string]Bench{}
-	for _, bench := range b.Benches {
-		bb[bench.Name] = bench
-	}
-	for _, bench := range a.Benches {
-		nb, ok := bb[bench.Name]
-		if !ok {
-			present("bench", bench.Name, fmt.Sprintf("%g ns/op", bench.NsPerOp), "missing")
-			continue
-		}
-		delete(bb, bench.Name)
-		if bench.NsPerOp != nb.NsPerOp {
-			rel := math.Inf(sign(nb.NsPerOp))
-			if bench.NsPerOp != 0 {
-				rel = nb.NsPerOp/bench.NsPerOp - 1
-			}
-			if math.Abs(rel) > opt.Tol {
-				out = append(out, Delta{
-					Kind: "bench", Where: bench.Name + " ns/op",
-					Old: strconv.FormatFloat(bench.NsPerOp, 'g', 10, 64),
-					New: strconv.FormatFloat(nb.NsPerOp, 'g', 10, 64),
-					Rel: rel,
-				})
-			}
-		}
-		if bench.AllocsPerOp >= 0 && nb.AllocsPerOp >= 0 && bench.AllocsPerOp != nb.AllocsPerOp {
-			out = append(out, Delta{
-				Kind: "bench", Where: bench.Name + " allocs/op",
-				Old: strconv.FormatFloat(bench.AllocsPerOp, 'g', 10, 64),
-				New: strconv.FormatFloat(nb.AllocsPerOp, 'g', 10, 64),
-				Rel: math.NaN(),
-			})
-		}
-	}
-	for _, bench := range b.Benches {
-		if _, ok := bb[bench.Name]; ok {
-			present("bench", bench.Name, "missing", fmt.Sprintf("%g ns/op", bench.NsPerOp))
-		}
-	}
 	return out
 }
 

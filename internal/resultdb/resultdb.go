@@ -1,8 +1,8 @@
-// Package resultdb is the content-addressed run store behind the
-// simulator's perf-trajectory tooling: each Record captures one run's
-// scenario tables, metrics snapshot and benchmark numbers, keyed by
-// (scenario, config hash, commit) and addressed by a content hash over
-// its payload.
+// Package resultdb is the content-addressed run store behind symbiosim's
+// -record, diff and trend: each Record captures one run's scenario
+// tables and metrics snapshot, both functions of the run's inputs,
+// keyed by (scenario, config hash, commit) and addressed by a content
+// hash over its payload.
 //
 // The storage format extends internal/perfdb's cache idiom: only
 // map-free mirror structs are gob-coded (gob serialises map iteration
@@ -12,11 +12,12 @@
 // of the run's results. Two runs with equal results collide into one
 // file, which is exactly the dedup a results database wants.
 //
-// On top of the store sits Diff: per-cell, per-metric and per-bench
-// deltas with relative tolerance. Beside it, ParseBench reads `go test
-// -bench` output, and Gate compares a parent's and a change's benchmark
-// samples taken in alternating pairs on one machine (perf/gate.sh, the
-// perf gate CI enforces); the gate reads no stored record.
+// On top of the store sits Diff: per-cell and per-metric deltas with
+// relative tolerance. Benchmark timings are not results of the inputs
+// and are never stored: ParseBench reads `go test -bench` output, and
+// Gate compares a parent's and a change's benchmark samples taken in
+// alternating pairs on one machine (perf/gate.sh, the perf gate CI
+// enforces).
 package resultdb
 
 import (
@@ -27,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -54,22 +56,21 @@ type MetricRow struct {
 	Metric, Kind, Field, Value string
 }
 
-// Bench is one benchmark result in `go test -bench` terms. The json
-// tags shape the generated BENCH_*.json ledger (`symbiosim bench-record
-// -ledger`); gob storage ignores them.
+// Bench is one benchmark result in `go test -bench` terms, as
+// ParseBench reads it and Gate compares it.
 type Bench struct {
-	Name        string  `json:"name"`
-	Runs        int     `json:"runs"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`  // -1 when the line carried no B/op column
-	AllocsPerOp float64 `json:"allocs_per_op"` // -1 when the line carried no allocs/op column
+	Name        string
+	Runs        int
+	NsPerOp     float64
+	BytesPerOp  float64 // -1 when the line carried no B/op column
+	AllocsPerOp float64 // -1 when the line carried no allocs/op column
 }
 
 // Record is one stored run. Scenario, ConfigHash and Commit form the
-// logical key; the content hash over Tables, Metrics and Benches is the
-// physical address. Note and When are annotations: they ride along but
-// are excluded from the content hash, so re-recording an identical run
-// at a later time still dedups.
+// logical key; the content hash over Tables and Metrics is the physical
+// address. Note and When are annotations: they ride along but are
+// excluded from the content hash, so re-recording an identical run at a
+// later time still dedups.
 type Record struct {
 	Version    int
 	Scenario   string
@@ -79,13 +80,12 @@ type Record struct {
 	Note       string // free-form annotation, informational only
 	Tables     []Table
 	Metrics    []MetricRow
-	Benches    []Bench
 }
 
-// ContentHash returns the FNV-64a hash of the record's payload (tables,
-// metrics, benches — not the annotations), the content half of the
-// file's address. Every field is fed with explicit separators in slice
-// order, so the hash is a pure function of the results.
+// ContentHash returns the FNV-64a hash of the record's payload (tables
+// and metrics, not the annotations), the content half of the file's
+// address. Every field is fed with explicit separators in slice order,
+// so the hash is a pure function of the results.
 func (r *Record) ContentHash() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "v%d|%s|%s|%s|", Version, r.Scenario, r.ConfigHash, r.Commit)
@@ -103,9 +103,6 @@ func (r *Record) ContentHash() uint64 {
 	}
 	for _, m := range r.Metrics {
 		fmt.Fprintf(h, "M%s|%s|%s|%s|", m.Metric, m.Kind, m.Field, m.Value)
-	}
-	for _, b := range r.Benches {
-		fmt.Fprintf(h, "B%s|%d|%g|%g|%g|", b.Name, b.Runs, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
 	}
 	return h.Sum64()
 }
@@ -140,10 +137,17 @@ func (r *Record) FileName() string {
 // Store is a directory of records.
 type Store struct{ Dir string }
 
-// Open returns a store over dir, creating it if needed.
+// Open returns the store over the existing directory dir. Opening
+// never creates it, so a mistyped path is an error (wrapping
+// fs.ErrNotExist when dir is absent), not an empty store; a writer
+// creates the directory first.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("resultdb: %w", err)
+	info, err := os.Stat(dir)
+	if err != nil {
+		return nil, fmt.Errorf("resultdb: open store: %w", err)
+	}
+	if !info.IsDir() {
+		return nil, fmt.Errorf("resultdb: %s is not a directory", dir)
 	}
 	return &Store{Dir: dir}, nil
 }
@@ -262,8 +266,8 @@ func (s *Store) Resolve(ref string) (string, error) {
 	if ref == "latest" || strings.HasPrefix(ref, "latest~") {
 		n := 0
 		if rest, ok := strings.CutPrefix(ref, "latest~"); ok {
-			if _, err := fmt.Sscanf(rest, "%d", &n); err != nil || n < 0 {
-				return "", fmt.Errorf("resultdb: bad reference %q", ref)
+			if n, err = strconv.Atoi(rest); err != nil || n < 0 {
+				return "", fmt.Errorf("resultdb: bad reference %q (want latest~N with N an integer >= 0)", ref)
 			}
 		}
 		if n >= len(names) {
